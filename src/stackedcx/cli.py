@@ -5,7 +5,6 @@ verification subcommand finds a property violation.
 """
 
 import argparse
-import os
 import sys
 
 from .complexes import find_stacking_order, is_stacked
@@ -25,9 +24,6 @@ from .textio import (
     parse_prefix_partition,
     parse_vertex_partition,
 )
-
-JOBS_ENV = "STACKEDCX_JOBS"
-
 
 class _Parser(argparse.ArgumentParser):
     # usage errors are input errors: exit 1, not argparse's default 2
@@ -50,17 +46,6 @@ def _load_complex(path: str):
 def _require_stacked(X) -> None:
     if not is_stacked(X):
         raise InputError("complex is not stacked")
-
-
-def _jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise InputError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise InputError(f"{JOBS_ENV} must be >= 1")
-    return jobs
 
 
 def cmd_check(args) -> int:
@@ -93,6 +78,9 @@ def cmd_path(args) -> int:
         if v == w:
             print("distance: 0")
             return 0
+        if len(set(X.vertex_facets[v]) & set(X.vertex_facets[w])) >= 2:
+            print("distance: 1")  # facet mates with no single witness facet
+            return 0
         fp = face_path(X, (v,), (w,))
         middle = " ".join(facet_token(X, i) for i in fp.facets)
         print(f"path: {X.token_of(v)} | {middle} | {X.token_of(w)}")
@@ -115,7 +103,6 @@ def cmd_map(args) -> int:
 def cmd_enumerate(args) -> int:
     X = _load_complex(args.complex)
     _require_stacked(X)
-    _jobs()  # single worker; output is canonical for any degree
     spec = (vertex_spec if args.kind == "vertices" else facet_spec)(X, args.r, args.s)
     for P in enumerate_partitions(spec):
         print(format_partition_line(P, X))
@@ -125,7 +112,6 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     X = _load_complex(args.complex)
     _require_stacked(X)
-    _jobs()
     report = verify_bijection(X, args.r, args.s)
     for line in report.lines():
         print(line)
@@ -302,3 +288,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

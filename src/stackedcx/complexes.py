@@ -204,58 +204,40 @@ def subcomplex(X: SimplicialComplex, facet_indices: Iterable[int]) -> Simplicial
 
 
 def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
-    """Search for a stacking order, or return None when none exists.
+    """A stacking order, or None when none exists.
 
-    Works by peeling: a facet can come last iff it has exactly one vertex on
-    no other remaining facet and its other vertices form a face of another
-    remaining facet.  Backtracks over all peelable facets (greedy choice is
-    not known to be safe), memoising dead facet sets.
+    A pure complex is stacked iff |V| = n + d and its facets are connected
+    through codimension-one faces.  In a breadth-first order each facet
+    after the first shares a ridge with its parent, so it adds at most one
+    vertex; |V| = n + d forces exactly one, and that ridge is its base.
+    Each ridge is expanded once, so the search is linear in the input.
     """
     if "stacking_order" in X._cache:
         return X._cache["stacking_order"]
-    result = _search_stacking_order(X)
+    result = None
+    if X.n_vertices == X.n_facets + X.dim:
+        index = X.codim1_faces
+        placed = [False] * X.n_facets
+        placed[0] = True
+        order = [0]
+        free: list[int] = []
+        expanded: set[frozenset[int]] = set()
+        for f in order:
+            for face in combinations(X.facet_tuples[f], X.dim):
+                ridge = frozenset(face)
+                if ridge in expanded:
+                    continue
+                expanded.add(ridge)
+                for g in index[ridge]:
+                    if not placed[g]:
+                        placed[g] = True
+                        order.append(g)
+                        (v,) = X.facets[g] - ridge
+                        free.append(v)
+        if len(order) == X.n_facets:
+            result = StackingOrder(order=tuple(order), free_vertices=tuple(free))
     X._cache["stacking_order"] = result
     return result
-
-
-def _search_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
-    if X.n_vertices != X.n_facets + X.dim:
-        return None
-    n = X.n_facets
-    if n == 1:
-        return StackingOrder(order=(0,), free_vertices=())
-
-    vertex_facets = X.vertex_facets
-    dead: set[frozenset[int]] = set()
-
-    def peel(remaining: frozenset[int]) -> list[tuple[int, int]] | None:
-        if len(remaining) == 1:
-            return []
-        if remaining in dead:
-            return None
-        for f in sorted(remaining):
-            facet = X.facets[f]
-            free = [v for v in facet
-                    if all(g == f or g not in remaining for g in vertex_facets[v])]
-            if len(free) != 1:
-                continue
-            v = free[0]
-            base = facet - {v}
-            if not any(g != f and base <= X.facets[g] for g in remaining):
-                continue
-            rest = peel(remaining - {f})
-            if rest is not None:
-                return rest + [(f, v)]
-        dead.add(remaining)
-        return None
-
-    seq = peel(frozenset(range(n)))
-    if seq is None:
-        return None
-    order = tuple(i for i in range(n) if i not in {f for f, _ in seq}) \
-        + tuple(f for f, _ in seq)
-    free = tuple(v for _, v in seq)
-    return StackingOrder(order=order, free_vertices=free)
 
 
 def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:
@@ -263,22 +245,19 @@ def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:
     n = X.n_facets
     if sorted(cert.order) != list(range(n)) or len(cert.free_vertices) != n - 1:
         return False
-    seen = set(X.facets[cert.order[0]])
-    for p in range(1, n):
-        facet = X.facets[cert.order[p]]
-        v = cert.free_vertices[p - 1]
-        if v not in facet or v in seen:
-            return False
-        base = facet - {v}
-        if not base <= seen:
-            return False
-        if not any(base <= X.facets[cert.order[q]] for q in range(p)):
-            return False
+    seen: set[int] = set()
+    walls: set[frozenset[int]] = set()  # codim-1 faces of earlier facets
+    for p, f in enumerate(cert.order):
+        facet = X.facets[f]
+        if p:
+            v = cert.free_vertices[p - 1]
+            if v not in facet or v in seen or facet - {v} not in walls:
+                return False
         seen |= facet
+        walls.update(frozenset(c) for c in combinations(X.facet_tuples[f], X.dim))
     return len(seen) == X.n_vertices
 
 
 def is_stacked(X: SimplicialComplex) -> bool:
-    """True iff the vertex count matches n + d and a stacking order exists."""
-    return (X.n_vertices == X.n_facets + X.dim
-            and find_stacking_order(X) is not None)
+    """True iff a stacking order exists."""
+    return find_stacking_order(X) is not None

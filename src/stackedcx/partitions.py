@@ -15,7 +15,14 @@ from typing import Iterable, Literal
 
 from .complexes import SimplicialComplex
 from .errors import InputError, NotAPartitionError, NotIndependentError
-from .paths import end_vertices, face_path, facet_distance, facet_path, vertex_distance
+from .paths import (
+    end_vertices,
+    face_path,
+    facet_distance,
+    facet_path,
+    stacking_tree,
+    vertex_distance,
+)
 
 GroundKind = Literal["vertices", "facets", "integers"]
 
@@ -149,36 +156,70 @@ def _require_cover(P: Partition, kind: GroundKind, size: int) -> None:
 
 
 def _facet_pair_table(X: SimplicialComplex):
-    """Per unordered facet pair: end vertices and interior facet masks."""
+    """Per unordered facet pair: end vertices and interior facet masks.
+
+    One stacking-tree sweep per source facet i; a facet's interior is its
+    parent facet's interior plus that parent, and its first step from i is
+    inherited the same way.
+    """
     table = X._cache.get("v2f_pairs")
     if table is None:
-        masks = X.facet_masks
+        tree = stacking_tree(X)
+        facets, masks = X.facets, X.facet_masks
+        n = X.n_facets
         table = []
-        for i, j in combinations(range(X.n_facets), 2):
-            path = facet_path(X, i, j)
-            v, w = end_vertices(X, path)
-            if v == w:
-                raise InputError("facet path with equal end vertices "
-                                 "(is the complex stacked?)")
-            interior = tuple(masks[f] for f in path.facets[1:-1])
-            table.append((i, j, v, w, interior))
+        for i in range(n):
+            order, parent, _ = tree.sweep((i,))
+            first = {}
+            interior = {}
+            for g in order[1:]:  # parents come first
+                if g >= n:
+                    continue
+                before = parent[parent[g]]
+                if before == i:
+                    first[g], interior[g] = g, ()
+                else:
+                    first[g] = first[before]
+                    interior[g] = interior[before] + (masks[before],)
+            for j in range(i + 1, n):
+                (v,) = facets[i] - facets[first[j]]
+                (w,) = facets[j] - tree.ridges[parent[j] - n]
+                if v == w:
+                    raise InputError("facet path with equal end vertices "
+                                     "(is the complex stacked?)")
+                table.append((i, j, v, w, interior[j]))
         table = tuple(table)
         X._cache["v2f_pairs"] = table
     return table
 
 
 def _vertex_pair_table(X: SimplicialComplex):
-    """Per independent vertex pair: end facets and interior facet indices."""
+    """Per independent vertex pair: end facets and interior facet indices.
+
+    One stacking-tree sweep per vertex v from all its facets: the face path
+    to w runs from a facet of v to the facet of w nearest to them.
+    """
     table = X._cache.get("f2v_pairs")
     if table is None:
-        vertex_facets = X.vertex_facets
+        tree = stacking_tree(X)
+        star = X.vertex_facets
         table = []
-        for v, w in combinations(range(X.n_vertices), 2):
-            if set(vertex_facets[v]) & set(vertex_facets[w]):
-                continue
-            fp = face_path(X, (v,), (w,))
-            facets = fp.facets
-            table.append((v, w, facets[0], facets[-1], facets[1:-1]))
+        for v in range(X.n_vertices):
+            order, parent, depth = tree.sweep(star[v])
+            chain = {}  # facet -> the facets from v's star to it
+            for g in order:
+                if g >= X.n_facets:
+                    continue
+                if depth[g]:
+                    chain[g] = chain[parent[parent[g]]] + (g,)
+                else:
+                    chain[g] = (g,)
+            for w in range(v + 1, X.n_vertices):
+                nearest = min(star[w], key=depth.__getitem__)
+                if depth[nearest] == 0:  # facet mates are not independent
+                    continue
+                facets = chain[nearest]
+                table.append((v, w, facets[0], facets[-1], facets[1:-1]))
         table = tuple(table)
         X._cache["f2v_pairs"] = table
     return table

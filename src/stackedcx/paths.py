@@ -2,15 +2,17 @@
 
 On a stacked complex every pair of facets has a unique path (a walk whose
 consecutive intersections are pairwise distinct), so distances here are
-well defined.  Callers are expected to pass stacked complexes to the path
-and distance operations; walk reduction itself works on any pure complex.
+well defined.  That is because the facet-ridge incidence graph of a
+stacked complex is a tree, the *stacking tree*: paths and distances are
+read off it, and raise InputError on complexes that are not stacked.
+Walk reduction itself works on any pure complex and stays as the
+definition the tree paths are tested against.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, dual_adjacency
+from .complexes import SimplicialComplex, find_stacking_order
 from .errors import (
     InputError,
     NotAFaceError,
@@ -99,40 +101,76 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
     return _make_path(X, tuple(facets))
 
 
-def _bfs_walk(X: SimplicialComplex, f: int, g: int) -> list[int]:
-    if f == g:
-        return [f]
-    adj = dual_adjacency(X)
-    parent = {f: f}
-    queue = deque([f])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in parent:
-                parent[nxt] = cur
-                if nxt == g:
-                    queue.clear()
-                    break
-                queue.append(nxt)
-    if g not in parent:
-        raise InputError("facets are not gallery-connected")
-    walk = [g]
-    while walk[-1] != f:
-        walk.append(parent[walk[-1]])
-    walk.reverse()
-    return walk
+class StackingTree:
+    """The facet-ridge incidence tree of a stacked complex.
+
+    Nodes ``0..n-1`` are the facets and nodes ``n..`` the codimension-one
+    faces in ``ridges`` order; an edge joins each facet to its d + 1
+    ridges.  ``parent`` and ``depth`` root the tree at facet 0, which is
+    its own parent.
+    """
+
+    __slots__ = ("ridges", "adjacency", "parent", "depth")
+
+    def __init__(self, X: SimplicialComplex):
+        n = X.n_facets
+        self.ridges = tuple(X.codim1_faces)
+        adjacency: list = [[] for _ in range(n)]
+        for r, members in enumerate(X.codim1_faces.values(), n):
+            adjacency.append(members)
+            for f in members:
+                adjacency[f].append(r)
+        self.adjacency = adjacency
+        _, self.parent, self.depth = self.sweep((0,))
+
+    def sweep(self, sources: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+        """Breadth-first search from the given nodes, all at depth 0: the
+        visiting order, each node's parent (a source is its own) and depth.
+        A facet's depth is twice its facet distance to the nearest source."""
+        parent = [-1] * len(self.adjacency)
+        depth = [-1] * len(self.adjacency)
+        order = list(sources)
+        for u in order:
+            parent[u] = u
+            depth[u] = 0
+        for u in order:
+            below = depth[u] + 1
+            for w in self.adjacency[u]:
+                if depth[w] < 0:
+                    parent[w] = u
+                    depth[w] = below
+                    order.append(w)
+        return order, parent, depth
+
+
+def stacking_tree(X: SimplicialComplex) -> StackingTree:
+    """The stacking tree of X, built once per complex."""
+    tree = X._cache.get("stacking_tree")
+    if tree is None:
+        if find_stacking_order(X) is None:
+            raise InputError("complex is not stacked")
+        tree = StackingTree(X)
+        X._cache["stacking_tree"] = tree
+    return tree
 
 
 def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
-    """The unique path between two facets of a stacked complex."""
-    table = X._cache.setdefault("facet_paths", {})
-    path = table.get((f, g))
-    if path is None:
-        path = reduce_walk(X, _bfs_walk(X, f, g))
-        table[(f, g)] = path
-        table[(g, f)] = FacetPath(
-            facets=path.facets[::-1], intersections=path.intersections[::-1])
-    return path
+    """The unique path between two facets of a stacked complex: their path
+    in the stacking tree, whose ridge nodes are the intersections."""
+    tree = stacking_tree(X)
+    n = X.n_facets
+    if not (0 <= f < n and 0 <= g < n):
+        raise InputError(f"facet index outside 0..{n - 1}")
+    parent, depth = tree.parent, tree.depth
+    up, down = [f], [g]
+    while up[-1] != down[-1]:  # climb to the lowest common ancestor
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    nodes = up + down[-2::-1]
+    return FacetPath(facets=tuple(nodes[::2]),
+                     intersections=tuple(tree.ridges[r - n] for r in nodes[1::2]))
 
 
 def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
@@ -146,6 +184,14 @@ def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
     return left, right
 
 
+def _facets_containing(X: SimplicialComplex, face: frozenset) -> list[int]:
+    """The facets containing a non-empty vertex set, in ascending order."""
+    v = next(iter(face))
+    if not isinstance(v, int) or not 0 <= v < X.n_vertices:
+        return []
+    return [f for f in X.vertex_facets[v] if face <= X.facets[f]]
+
+
 def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FacePath:
     """The unique path between faces h and k.
 
@@ -157,10 +203,10 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
     k = frozenset(k)
     if not h or not k:
         raise NotAFaceError("faces must be non-empty vertex sets")
-    containing_h = [i for i, f in enumerate(X.facets) if h <= f]
+    containing_h = _facets_containing(X, h)
     if not containing_h:
         raise NotAFaceError(f"{sorted(h)} is not a face")
-    containing_k = [i for i, f in enumerate(X.facets) if k <= f]
+    containing_k = _facets_containing(X, k)
     if not containing_k:
         raise NotAFaceError(f"{sorted(k)} is not a face")
     if h == k:
@@ -170,13 +216,14 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         raise NotSeparatedError(
             "face union lies in two facets: no unique path")
     if len(both) == 1:
-        return FacePath(h=h, k=k, path=_make_path(X, (both[0],)))
+        return FacePath(h=h, k=k, path=FacetPath(facets=(both[0],), intersections=()))
 
     full = facet_path(X, containing_h[0], containing_k[0])
     i = max(idx for idx, fi in enumerate(full.facets) if h <= X.facets[fi])
     j = min(idx for idx in range(i, len(full.facets))
             if k <= X.facets[full.facets[idx]])
-    trimmed = _make_path(X, full.facets[i:j + 1])
+    trimmed = FacetPath(facets=full.facets[i:j + 1],
+                        intersections=full.intersections[i:j])
     # neither face may sit inside any intersection, ends included
     assert all(not h <= g and not k <= g for g in trimmed.intersections)
     return FacePath(h=h, k=k, path=trimmed)
@@ -205,20 +252,29 @@ def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
 
 
 def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """All vertex distances, one stacking-tree sweep per vertex: from the
+    facets of v, the nearest facet of w lies 2 (dist(v, w) - 1) deep."""
     matrix = X._cache.get("vertex_dist_matrix")
     if matrix is None:
-        n = X.n_vertices
-        matrix = tuple(tuple(vertex_distance(X, v, w) for w in range(n))
-                       for v in range(n))
+        tree = stacking_tree(X)
+        star = X.vertex_facets
+        rows = []
+        for v in range(X.n_vertices):
+            _, _, depth = tree.sweep(star[v])
+            rows.append(tuple(0 if w == v else 1 + min(depth[f] for f in star[w]) // 2
+                              for w in range(X.n_vertices)))
+        matrix = tuple(rows)
         X._cache["vertex_dist_matrix"] = matrix
     return matrix
 
 
 def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """All facet distances, one stacking-tree sweep per facet."""
     matrix = X._cache.get("facet_dist_matrix")
     if matrix is None:
+        tree = stacking_tree(X)
         n = X.n_facets
-        matrix = tuple(tuple(facet_distance(X, f, g) for g in range(n))
+        matrix = tuple(tuple(d // 2 for d in tree.sweep((f,))[2][:n])
                        for f in range(n))
         X._cache["facet_dist_matrix"] = matrix
     return matrix

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import stackedcx as sc
@@ -54,6 +59,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(tetra))
         assert code == 1 and "stacked=no" in out
 
+    def test_long_path_certificate_replays(self, capsys, tmp_path):
+        edges = tmp_path / "path.cx"
+        edges.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 5001)))
+        code, out, _ = run(capsys, "check", str(edges))
+        assert code == 0 and "stacked=yes" in out
+        X = parse_complex(edges.read_text())
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("stacking: ")]
+        first, *steps = line.split()[1:]
+        order = [X.facet_from_tokens(first.split(","))]
+        free = []
+        for step in steps:
+            vertex, _, facet = step.partition("+")
+            order.append(X.facet_from_tokens(facet.split(",")))
+            free.append(X.id_of(vertex))
+        cert = sc.StackingOrder(order=tuple(order), free_vertices=tuple(free))
+        assert sc.replay_stacking_order(X, cert)
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 3\n"))
@@ -81,10 +103,16 @@ class TestPath:
                            "--vertices", "4", "4")
         assert code == 0 and out.strip() == "distance: 0"
 
-    def test_ambiguous_pair_fails(self, capsys, heptagon_file):
-        code, _, err = run(capsys, "path", heptagon_file,
-                           "--vertices", "2", "4")
-        assert code == 1 and "error" in err
+    def test_facet_mates_on_two_facets_print_distance_one(self, capsys, heptagon_file):
+        # {2,4} lies in 234 and 245, {2,5} in 245 and 257: no single witness
+        for v, w in (("2", "4"), ("2", "5")):
+            code, out, _ = run(capsys, "path", heptagon_file, "--vertices", v, w)
+            assert code == 0 and out == "distance: 1\n"
+
+    def test_facet_mates_on_one_facet_print_it(self, capsys, heptagon_file):
+        code, out, _ = run(capsys, "path", heptagon_file, "--vertices", "2", "3")
+        assert code == 0
+        assert out.splitlines() == ["path: 2 | 2,3,4 | 3", "distance: 1"]
 
 
 class TestMap:
@@ -123,12 +151,6 @@ class TestEnumerate:
                            "--kind", "vertices", "-r", "4", "-s", "2")
         assert code == 0
         assert len(out.splitlines()) == sc.stirling2(5, 2)
-
-    def test_bad_jobs_env(self, capsys, heptagon_file, monkeypatch):
-        monkeypatch.setenv(cli.JOBS_ENV, "zero")
-        code, _, err = run(capsys, "enumerate", heptagon_file,
-                           "--kind", "facets", "-r", "1", "-s", "1")
-        assert code == 1 and cli.JOBS_ENV in err
 
 
 class TestVerify:
@@ -225,6 +247,18 @@ class TestDot:
     def test_dual_graph(self, capsys, heptagon_file):
         code, out, _ = run(capsys, "dot", heptagon_file)
         assert code == 0 and out.count(" -- ") == 4
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["stackedcx", "stackedcx.cli"])
+    def test_python_dash_m(self, heptagon_file, module):
+        src = Path(sc.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-m", module, "check", heptagon_file],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert "stacked=yes" in done.stdout.splitlines()
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +87,19 @@ class TestStacking:
         X = cx("1 2", "2 3", "1 3", "4 5")
         assert X.n_vertices == X.n_facets + X.dim
         assert sc.find_stacking_order(X) is None
+
+    def test_triangle_beside_spider_rejected_fast(self):
+        # |V| = n + d holds but the facets fall into two components; a
+        # peeling search with backtracking takes minutes on this input
+        edges = ["a b", "b c", "a c"]
+        for leg in range(8):
+            chain = ["h"] + [f"l{leg}_{k}" for k in range(4)]
+            edges += [f"{u} {w}" for u, w in zip(chain, chain[1:])]
+        X = cx(*edges)
+        assert X.n_vertices == X.n_facets + X.dim
+        start = time.perf_counter()
+        assert sc.find_stacking_order(X) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_all_small_trees_are_stacked(self):
         for T in all_trees(5):
