@@ -115,6 +115,9 @@ def cmd_verify(args) -> int:
     report = verify_bijection(X, args.r, args.s)
     for line in report.lines():
         print(line)
+    for reason, P in report.counterexamples:
+        print(f"counterexample: {reason}: {format_partition_line(P, X)}",
+              file=sys.stderr)
     return 0 if report.ok else 2
 
 

@@ -88,8 +88,11 @@ def enumerate_partitions(spec: EnumerationSpec) -> Iterator[Partition]:
     """Every partition of the ground set into exactly ``parts`` blocks, each
     ``scatter``-scattered, once each, in canonical (restricted growth) order.
 
-    Scatter is pruned incrementally: an element joins a block only if it
-    keeps distance >= scatter to every member already there.
+    A depth-first walk over restricted-growth strings: position i tries
+    each open block in turn and then a new one.  Scatter is pruned
+    incrementally: an element joins a block only if it keeps distance
+    >= scatter to every member already there, tested as one AND of the
+    block's member positions with the element's ``close`` mask.
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
@@ -99,31 +102,47 @@ def enumerate_partitions(spec: EnumerationSpec) -> Iterator[Partition]:
     if r > n:
         return
     s = spec.scatter
-    dist = spec.distance
     kind = spec.kind
+    close = [0] * n  # per position: the earlier positions closer than s
+    if s > 1:
+        dist = spec.distance
+        for i, e in enumerate(ground):
+            close[i] = sum(1 << j for j in range(i) if dist(ground[j], e) < s)
     blocks: list[list[int]] = []
-
-    def assign(i: int) -> Iterator[Partition]:
-        if n - i < r - len(blocks):
-            return
-        if i == n:
-            if len(blocks) == r:
-                yield Partition(kind=kind,
-                                blocks=tuple(tuple(b) for b in blocks))
-            return
-        e = ground[i]
-        for block in blocks:
-            if s > 1 and any(dist(x, e) < s for x in block):
-                continue
-            block.append(e)
-            yield from assign(i + 1)
-            block.pop()
-        if len(blocks) < r:
-            blocks.append([e])
-            yield from assign(i + 1)
-            blocks.pop()
-
-    yield from assign(0)
+    masks: list[int] = []  # member positions per open block
+    slot = [-1] * n  # the block position i sits in, -1 while unplaced
+    i = 0
+    while i >= 0:
+        b = slot[i]
+        if b >= 0:  # take position i out of its block
+            if len(blocks[b]) == 1:  # it opened the block, the last one
+                blocks.pop()
+                masks.pop()
+            else:
+                blocks[b].pop()
+                masks[b] ^= 1 << i
+        b += 1
+        k = len(blocks)
+        near = close[i]
+        while b < k and near & masks[b]:
+            b += 1
+        if b < k:
+            blocks[b].append(ground[i])
+            masks[b] |= 1 << i
+        elif b == k < r:
+            blocks.append([ground[i]])
+            masks.append(1 << i)
+        else:  # position i is exhausted: backtrack
+            slot[i] = -1
+            i -= 1
+            continue
+        slot[i] = b
+        if n - 1 - i < r - len(blocks):
+            continue  # too few positions left to open the missing blocks
+        if i == n - 1:
+            yield Partition(kind=kind, blocks=tuple(map(tuple, blocks)))
+        else:
+            i += 1
 
 
 @dataclass(frozen=True)
@@ -137,7 +156,7 @@ class BijectionReport:
     right_count: int
     round_trip_failures: int
     image_mismatches: int
-    counterexamples: tuple[str, ...] = ()
+    counterexamples: tuple[tuple[str, Partition], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -160,7 +179,19 @@ class BijectionReport:
 def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     """Enumerate facet partitions (r parts, s-scattered) and vertex
     partitions (r+d parts, s+1-scattered); check that the two maps are
-    mutually inverse bijections between the families."""
+    mutually inverse bijections between the families.
+
+    The forward pass maps every facet partition Q to the vertex family and
+    back.  When no image misses the vertex family, every Q round-trips and
+    the vertex family is as large as the facet family, f2v is injective
+    (v2f after f2v is the identity) into a family of the same size, so it
+    is onto: every vertex partition is an image whose preimage is in the
+    facet family and maps back to it, and the reverse pass could only count
+    0 mismatches and 0 round-trip failures.  It is skipped then, and run in
+    every other case, so a failing report keeps its exact counts and
+    counterexamples.  Counterexamples are (reason, partition) pairs, at
+    most three.
+    """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
     left = list(enumerate_partitions(facet_spec(X, r, s)))
@@ -170,11 +201,11 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
 
     round_trips = 0
     mismatches = 0
-    examples: list[str] = []
+    examples: list[tuple[str, Partition]] = []
 
-    def note(msg: str) -> None:
+    def note(reason: str, P: Partition) -> None:
         if len(examples) < 3:
-            examples.append(msg)
+            examples.append((reason, P))
 
     forward: dict[Partition, Partition] = {}
     for Q in left:
@@ -182,18 +213,19 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         forward[Q] = image
         if image not in right_set:
             mismatches += 1
-            note(f"image of facet partition {Q.blocks} not in vertex family")
+            note("facet partition whose image is not in the vertex family", Q)
         if vertex_to_facet(X, image) != Q:
             round_trips += 1
-            note(f"facet partition {Q.blocks} does not round-trip")
-    for P in right:
-        preimage = vertex_to_facet(X, P)
-        if preimage not in left_set:
-            mismatches += 1
-            note(f"image of vertex partition {P.blocks} not in facet family")
-        elif forward[preimage] != P:
-            round_trips += 1
-            note(f"vertex partition {P.blocks} does not round-trip")
+            note("facet partition that does not round-trip", Q)
+    if mismatches or round_trips or len(right_set) != len(left):
+        for P in right:
+            preimage = vertex_to_facet(X, P)
+            if preimage not in left_set:
+                mismatches += 1
+                note("vertex partition whose image is not in the facet family", P)
+            elif forward[preimage] != P:
+                round_trips += 1
+                note("vertex partition that does not round-trip", P)
 
     return BijectionReport(parts=r, scatter=s, dim=X.dim,
                            left_count=len(left), right_count=len(right),

@@ -7,6 +7,12 @@ Vertex partition -> facet partition: two facets are related when the end
 vertices of their path share a block that no interior facet of the path
 meets.  Both relations are closed into equivalences with a union-find;
 unrelated elements stay as singleton blocks.
+
+Both maps read one cached pair table per complex, a row per pair, whose
+path interior is a single int: for facet pairs the OR of the interior
+facets' vertex masks, for vertex pairs the bitmask of the interior facet
+ids.  A block then misses the interior exactly when its own vertex or
+facet mask ANDs with it to zero.
 """
 
 from dataclasses import dataclass
@@ -33,23 +39,28 @@ class UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[b] = a
 
     def groups(self) -> list[list[int]]:
         """Blocks in canonical order: ascending members, ordered by minimum."""
+        parent = self.parent
         buckets: dict[int, list[int]] = {}
-        for e in range(len(self.parent)):
-            buckets.setdefault(self.find(e), []).append(e)
+        for e, root in enumerate(parent):
+            while parent[root] != root:
+                root = parent[root]
+            if root in buckets:
+                buckets[root].append(e)
+            else:
+                buckets[root] = [e]
         return list(buckets.values())
 
 
@@ -142,21 +153,35 @@ def is_scattered(X: SimplicialComplex, members: Iterable[int], s: int,
     return all(dist(X, a, b) >= s for a, b in combinations(items, 2))
 
 
-def _require_cover(P: Partition, kind: GroundKind, size: int) -> None:
+def _index_cover(P: Partition, kind: GroundKind,
+                 size: int) -> tuple[list[int], list[int]]:
+    """Check that P partitions the ``size`` elements of ``kind``; return
+    each element's block number and each block's members as a mask."""
     if P.kind != kind:
         raise NotAPartitionError(f"expected a partition of {kind}, got {P.kind}")
+    block_masks = []
     count = 0
-    mask = 0
+    cover = 0
     for block in P.blocks:
+        mask = 0
         for e in block:
             mask |= 1 << e
-            count += 1
-    if count != size or mask != (1 << size) - 1:
+        block_masks.append(mask)
+        count += len(block)
+        cover |= mask
+    if count != size or cover != (1 << size) - 1:
         raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
+    block_of = [0] * size
+    for b, block in enumerate(P.blocks):
+        for e in block:
+            block_of[e] = b
+    return block_of, block_masks
 
 
 def _facet_pair_table(X: SimplicialComplex):
-    """Per unordered facet pair: end vertices and interior facet masks.
+    """Rows ``(i, j, v, w, interior)`` per facet pair i < j: the end
+    vertices v, w of their path and the OR of the vertex masks of its
+    interior facets.
 
     One stacking-tree sweep per source facet i; a facet's interior is its
     parent facet's interior plus that parent, and its first step from i is
@@ -168,33 +193,35 @@ def _facet_pair_table(X: SimplicialComplex):
         facets, masks = X.facets, X.facet_masks
         n = X.n_facets
         table = []
+        first = [0] * n
+        inner = [0] * n
         for i in range(n):
             order, parent, _ = tree.sweep((i,))
-            first = {}
-            interior = {}
             for g in order[1:]:  # parents come first
                 if g >= n:
                     continue
                 before = parent[parent[g]]
                 if before == i:
-                    first[g], interior[g] = g, ()
+                    first[g], inner[g] = g, 0
                 else:
                     first[g] = first[before]
-                    interior[g] = interior[before] + (masks[before],)
+                    inner[g] = inner[before] | masks[before]
             for j in range(i + 1, n):
                 (v,) = facets[i] - facets[first[j]]
                 (w,) = facets[j] - tree.ridges[parent[j] - n]
                 if v == w:
                     raise InputError("facet path with equal end vertices "
                                      "(is the complex stacked?)")
-                table.append((i, j, v, w, interior[j]))
+                table.append((i, j, v, w, inner[j]))
         table = tuple(table)
         X._cache["v2f_pairs"] = table
     return table
 
 
 def _vertex_pair_table(X: SimplicialComplex):
-    """Per independent vertex pair: end facets and interior facet indices.
+    """Rows ``(v, w, first, last, interior)`` per independent vertex pair
+    v < w: the end facets of their face path and the bitmask of the ids of
+    its interior facets.
 
     One stacking-tree sweep per vertex v from all its facets: the face path
     to w runs from a facet of v to the facet of w nearest to them.
@@ -203,23 +230,26 @@ def _vertex_pair_table(X: SimplicialComplex):
     if table is None:
         tree = stacking_tree(X)
         star = X.vertex_facets
+        n = X.n_facets
         table = []
+        start = [0] * n  # facet -> the facet of v's star its path starts at
+        inner = [0] * n  # facet -> the facets strictly between, as a mask
         for v in range(X.n_vertices):
             order, parent, depth = tree.sweep(star[v])
-            chain = {}  # facet -> the facets from v's star to it
             for g in order:
-                if g >= X.n_facets:
+                if g >= n:
                     continue
                 if depth[g]:
-                    chain[g] = chain[parent[parent[g]]] + (g,)
+                    p = parent[parent[g]]
+                    start[g] = start[p]
+                    inner[g] = (inner[p] | 1 << p) if depth[p] else 0
                 else:
-                    chain[g] = (g,)
+                    start[g], inner[g] = g, 0
             for w in range(v + 1, X.n_vertices):
                 nearest = min(star[w], key=depth.__getitem__)
                 if depth[nearest] == 0:  # facet mates are not independent
                     continue
-                facets = chain[nearest]
-                table.append((v, w, facets[0], facets[-1], facets[1:-1]))
+                table.append((v, w, start[nearest], nearest, inner[nearest]))
         table = tuple(table)
         X._cache["f2v_pairs"] = table
     return table
@@ -228,51 +258,31 @@ def _vertex_pair_table(X: SimplicialComplex):
 def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     """Map a partition of vertices into independent blocks to the induced
     facet partition."""
-    _require_cover(P, "vertices", X.n_vertices)
-    block_of = [0] * X.n_vertices
-    for b, block in enumerate(P.blocks):
-        for e in block:
-            block_of[e] = b
+    block_of, block_masks = _index_cover(P, "vertices", X.n_vertices)
+    size = X.dim + 1
     for facet in X.facet_tuples:
-        seen = [block_of[v] for v in facet]
-        if len(set(seen)) != len(seen):
+        if len(set(map(block_of.__getitem__, facet))) != size:
             raise NotIndependentError("a block has two vertices on one facet")
 
-    block_masks = [sum(1 << e for e in block) for block in P.blocks]
     uf = UnionFind(X.n_facets)
     for i, j, v, w, interior in _facet_pair_table(X):
         b = block_of[v]
-        if block_of[w] != b:
-            continue
-        bm = block_masks[b]
-        for fm in interior:
-            if fm & bm:
-                break
-        else:
+        if block_of[w] == b and not interior & block_masks[b]:
             uf.union(i, j)
     return Partition(kind="facets",
-                     blocks=tuple(tuple(g) for g in uf.groups()))
+                     blocks=tuple(map(tuple, uf.groups())))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
-    _require_cover(Q, "facets", X.n_facets)
-    block_of = [0] * X.n_facets
-    for b, block in enumerate(Q.blocks):
-        for e in block:
-            block_of[e] = b
+    block_of, block_masks = _index_cover(Q, "facets", X.n_facets)
     uf = UnionFind(X.n_vertices)
     for v, w, first, last, interior in _vertex_pair_table(X):
         b = block_of[first]
-        if block_of[last] != b:
-            continue
-        for f in interior:
-            if block_of[f] == b:
-                break
-        else:
+        if block_of[last] == b and not interior & block_masks[b]:
             uf.union(v, w)
     return Partition(kind="vertices",
-                     blocks=tuple(tuple(g) for g in uf.groups()))
+                     blocks=tuple(map(tuple, uf.groups())))
 
 
 @dataclass(frozen=True)
@@ -287,9 +297,7 @@ class GeneratorPair:
 def vertex_to_facet_generators(X: SimplicialComplex,
                                P: Partition) -> list[GeneratorPair]:
     """The facet pairs :func:`vertex_to_facet` closes over, with witnesses."""
-    _require_cover(P, "vertices", X.n_vertices)
-    block_of = P.block_of()
-    block_masks = [sum(1 << e for e in block) for block in P.blocks]
+    block_of, block_masks = _index_cover(P, "vertices", X.n_vertices)
     out = []
     for i, j in combinations(range(X.n_facets), 2):
         path = facet_path(X, i, j)
@@ -307,8 +315,7 @@ def vertex_to_facet_generators(X: SimplicialComplex,
 def facet_to_vertex_generators(X: SimplicialComplex,
                                Q: Partition) -> list[GeneratorPair]:
     """The independent vertex pairs :func:`facet_to_vertex` closes over."""
-    _require_cover(Q, "facets", X.n_facets)
-    block_of = Q.block_of()
+    block_of, _ = _index_cover(Q, "facets", X.n_facets)
     out = []
     for v, w in combinations(range(X.n_vertices), 2):
         if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
@@ -321,15 +328,6 @@ def facet_to_vertex_generators(X: SimplicialComplex,
             continue
         out.append(GeneratorPair(a=v, b=w, witness=fp.facets))
     return out
-
-
-def check_theorem_instance(X: SimplicialComplex, r: int, s: int):
-    """Exhaustively verify, on this complex, that the two maps restrict to
-    inverse bijections between r-part s-scattered facet partitions and
-    (r+d)-part (s+1)-scattered vertex partitions.  Returns the report."""
-    from .oracle import verify_bijection
-
-    return verify_bijection(X, r, s)
 
 
 def vertex_partition_from_tokens(

@@ -224,8 +224,9 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
             if k <= X.facets[full.facets[idx]])
     trimmed = FacetPath(facets=full.facets[i:j + 1],
                         intersections=full.intersections[i:j])
-    # neither face may sit inside any intersection, ends included
-    assert all(not h <= g and not k <= g for g in trimmed.intersections)
+    if any(h <= g or k <= g for g in trimmed.intersections):
+        raise InputError("a face lies inside an intersection of its path "
+                         "(is the complex stacked?)")
     return FacePath(h=h, k=k, path=trimmed)
 
 

@@ -37,6 +37,21 @@ def fblocks(X, Q) -> set[frozenset[tuple[str, ...]]]:
     return set(facet_blocks_tokens(X, Q))
 
 
+def merging_facet_to_vertex(X, Q) -> sc.Partition:
+    """A faulty facet_to_vertex: the true image with its first two blocks
+    whose union has no two vertices on one facet merged into one (the
+    true image when there are none)."""
+    P = sc.facet_to_vertex(X, Q)
+    blocks = [set(b) for b in P.blocks]
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            union = blocks[a] | blocks[b]
+            if all(len(union & f) <= 1 for f in X.facets):
+                rest = [blk for i, blk in enumerate(blocks) if i not in (a, b)]
+                return sc.make_partition("vertices", rest + [union])
+    return P
+
+
 def facet(X, tokens: str) -> int:
     """Facet index from a comma-joined token string like '2,3,4'."""
     return X.facet_from_tokens(tokens.split(","))

@@ -6,11 +6,11 @@ from pathlib import Path
 import pytest
 
 import stackedcx as sc
-from stackedcx import cli
+from stackedcx import cli, oracle
 from stackedcx.oracle import BijectionReport
 from stackedcx.textio import parse_complex
 
-from conftest import HEPTAGON_FACETS
+from conftest import HEPTAGON_FACETS, merging_facet_to_vertex
 
 HEPTAGON_TEXT = "".join(line + "\n" for line in HEPTAGON_FACETS)
 FIG1A_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 6))
@@ -167,6 +167,27 @@ class TestVerify:
         monkeypatch.setattr(cli, "verify_bijection", lambda X, r, s: fake)
         code, out, _ = run(capsys, "verify", heptagon_file, "-r", "1", "-s", "1")
         assert code == 2 and "roundTripFailures=1" in out
+
+    def test_counterexamples_go_to_stderr_in_tokens(self, capsys, heptagon_file,
+                                                     monkeypatch):
+        code, clean_out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
+        assert code == 0 and err == ""
+        monkeypatch.setattr(oracle, "facet_to_vertex", merging_facet_to_vertex)
+        code, out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
+        assert code == 2
+        assert [line.split("=")[0] for line in out.splitlines()] == \
+            [line.split("=")[0] for line in clean_out.splitlines()]
+        lines = err.splitlines()
+        assert 1 <= len(lines) <= 3
+        facets = {",".join(f.split()) for f in HEPTAGON_FACETS}
+        for line in lines:
+            prefix, reason, partition = line.split(": ")
+            assert prefix == "counterexample"
+            tokens = partition.replace("{", " ").replace("}", " ").split()
+            if reason.startswith("facet"):
+                assert sorted(tokens) == sorted(facets)
+            else:
+                assert sorted(tokens) == [str(v) for v in range(1, 8)]
 
 
 class TestCensus:

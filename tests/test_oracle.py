@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import errors
+from stackedcx import errors, oracle
 from stackedcx.generators import (
     all_trees,
     polygon_triangulations,
@@ -19,7 +19,7 @@ from stackedcx.oracle import (
     vertex_spec,
 )
 
-from conftest import cx
+from conftest import cx, merging_facet_to_vertex
 
 
 def naive_set_partitions(items):
@@ -217,3 +217,134 @@ class TestCensus:
 
     def test_lines_end_with_failures(self, heptagon):
         assert sc.census(heptagon).lines()[-1] == "failures=0"
+
+
+# The lean verification core against test-local references: a brute force
+# over restricted-growth strings for the enumerator, and the two-pass
+# check without the proven skip for verify_bijection.
+
+def restricted_growth_strings(n, max_blocks):
+    """Every restricted-growth string of length n with at most max_blocks
+    distinct values, in lexicographic order (a prefix never loses blocks,
+    so the cap only filters)."""
+    strings = [()]
+    for _ in range(n):
+        strings = [a + (b,) for a in strings
+                   for b in range(min(max(a, default=-1) + 2, max_blocks))]
+    return strings
+
+
+def reference_enumeration(spec):
+    """The partitions of restricted-growth strings with exactly ``parts``
+    blocks whose same-block pairs are all >= scatter apart."""
+    ground = sorted(spec.ground)
+    out = []
+    for a in restricted_growth_strings(len(ground), spec.parts):
+        if max(a, default=-1) + 1 != spec.parts:
+            continue
+        if any(a[i] == a[j] and spec.distance(ground[i], ground[j]) < spec.scatter
+               for j in range(len(a)) for i in range(j)):
+            continue
+        blocks = [[] for _ in range(spec.parts)]
+        for e, b in zip(ground, a):
+            blocks[b].append(e)
+        out.append(sc.Partition(spec.kind, tuple(tuple(b) for b in blocks)))
+    return out
+
+
+def reference_verify(X, r, s):
+    """Both passes, always, through the specs and maps bound in ``oracle``."""
+    left = list(enumerate_partitions(oracle.facet_spec(X, r, s)))
+    right = list(enumerate_partitions(oracle.vertex_spec(X, r + X.dim, s + 1)))
+    left_set, right_set = set(left), set(right)
+    round_trips = mismatches = 0
+    examples = []
+    forward = {}
+    for Q in left:
+        image = oracle.facet_to_vertex(X, Q)
+        forward[Q] = image
+        if image not in right_set:
+            mismatches += 1
+            examples.append(("facet partition whose image is not in the "
+                             "vertex family", Q))
+        if oracle.vertex_to_facet(X, image) != Q:
+            round_trips += 1
+            examples.append(("facet partition that does not round-trip", Q))
+    for P in right:
+        preimage = oracle.vertex_to_facet(X, P)
+        if preimage not in left_set:
+            mismatches += 1
+            examples.append(("vertex partition whose image is not in the "
+                             "facet family", P))
+        elif forward[preimage] != P:
+            round_trips += 1
+            examples.append(("vertex partition that does not round-trip", P))
+    return oracle.BijectionReport(
+        parts=r, scatter=s, dim=X.dim, left_count=len(left),
+        right_count=len(right), round_trip_failures=round_trips,
+        image_mismatches=mismatches, counterexamples=tuple(examples[:3]))
+
+
+def constant_facet_to_vertex(X, Q):
+    """A faulty facet_to_vertex: every partition goes to the image of the
+    one-block facet partition."""
+    return sc.facet_to_vertex(X, sc.make_partition("facets", [range(X.n_facets)]))
+
+
+def looser_vertex_spec(X, parts, scatter):
+    """A faulty vertex family: one scatter looser, still independent, so
+    every true image lies in it but it can be larger than the facet family."""
+    return vertex_spec(X, parts, max(2, scatter - 1))
+
+
+def counting_vertex_to_facet(calls):
+    """vertex_to_facet that records each partition it is called on."""
+    def counted(X, P):
+        calls.append(P)
+        return sc.vertex_to_facet(X, P)
+    return counted
+
+
+small_stackings = st.builds(random_stacked, st.integers(1, 3), st.integers(1, 8),
+                            st.integers(0, 10**6))
+
+
+class TestLeanCore:
+    @given(small_stackings, st.sampled_from(("facets", "vertices", "integers")),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_enumeration_matches_restricted_growth_brute_force(self, X, kind, r, s):
+        if kind == "facets":
+            spec = facet_spec(X, r, s)
+        elif kind == "vertices":
+            spec = vertex_spec(X, r, s)
+        else:
+            spec = prefix_spec(X.n_vertices, r, s)
+        assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
+
+    @given(small_stackings, st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_verify_matches_two_pass_reference(self, X, r, s):
+        assert sc.verify_bijection(X, r, s) == reference_verify(X, r, s)
+
+    @pytest.mark.parametrize("name, fault", [
+        ("facet_to_vertex", merging_facet_to_vertex),
+        ("facet_to_vertex", constant_facet_to_vertex),
+        ("vertex_spec", looser_vertex_spec)])
+    @given(X=small_stackings, r=st.integers(1, 3), s=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_any_disagreement_runs_the_reverse_pass(self, name, fault, X, r, s):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, name, fault)
+            patch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
+            got = oracle.verify_bijection(X, r, s)
+            verify_calls = len(calls)
+            assert got == reference_verify(X, r, s)
+        assert verify_calls == got.left_count + (0 if got.ok else got.right_count)
+
+    def test_passing_instance_skips_the_reverse_pass(self, heptagon, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
+        report = oracle.verify_bijection(heptagon, 2, 1)
+        assert report.ok and len(calls) == report.left_count == 15

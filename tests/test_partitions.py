@@ -247,13 +247,13 @@ class TestGeneratorPairs:
 
 
 def test_check_theorem_instance_examples(heptagon):
-    report = sc.check_theorem_instance(heptagon, 2, 2)
+    report = sc.verify_bijection(heptagon, 2, 2)
     assert report.ok and report.left_count == 1
 
     line5 = sc.line_graph(5)
-    report = sc.check_theorem_instance(line5, 2, 1)
+    report = sc.verify_bijection(line5, 2, 1)
     assert report.ok and report.left_count == sc.stirling2(5, 2) == 15
 
     tree = cx("1 2", "2 3", "3 4")
-    report = sc.check_theorem_instance(tree, 1, 1)
+    report = sc.verify_bijection(tree, 1, 1)
     assert report.ok and report.left_count == 1

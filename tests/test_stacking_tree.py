@@ -56,20 +56,26 @@ def independent(X, v, w):
 
 
 def reference_facet_pair_table(X):
+    """Rows (i, j, v, w, OR of the interior facets' vertex masks)."""
     table = []
     for i, j in combinations(range(X.n_facets), 2):
         path = reference_facet_path(X, i, j)
         v, w = sc.end_vertices(X, path)
-        table.append((i, j, v, w, tuple(X.facet_masks[f] for f in path.facets[1:-1])))
+        interior = 0
+        for f in path.facets[1:-1]:
+            interior |= X.facet_masks[f]
+        table.append((i, j, v, w, interior))
     return tuple(table)
 
 
 def reference_vertex_pair_table(X):
+    """Rows (v, w, first, last, bitmask of the interior facet ids)."""
     table = []
     for v, w in combinations(range(X.n_vertices), 2):
         if independent(X, v, w):
             facets = reference_vertex_path(X, v, w)
-            table.append((v, w, facets[0], facets[-1], facets[1:-1]))
+            interior = sum(1 << f for f in facets[1:-1])
+            table.append((v, w, facets[0], facets[-1], interior))
     return tuple(table)
 
 
@@ -181,3 +187,17 @@ def test_deep_path_has_no_recursion_limit():
     ends = X.facet_from_tokens(["1", "2"]), X.facet_from_tokens(["5000", "5001"])
     assert sc.facet_distance(X, *ends) == 4999
     assert sc.vertex_distance(X, X.id_of("1"), X.id_of("5001")) == 5000
+
+
+def test_face_path_rejects_a_face_inside_an_intersection(heptagon, monkeypatch):
+    # unreachable through the tree paths; the check must not be an assert
+    real = paths.facet_path
+
+    def widened(X, f, g):
+        path = real(X, f, g)
+        everything = frozenset(range(X.n_vertices))
+        return paths.FacetPath(path.facets, tuple(everything for _ in path.intersections))
+
+    monkeypatch.setattr(paths, "facet_path", widened)
+    with pytest.raises(errors.InputError, match="inside an intersection"):
+        sc.face_path(heptagon, {heptagon.id_of("3")}, {heptagon.id_of("6")})
