@@ -61,6 +61,12 @@ def cmd_check(args) -> int:
                   for p in range(1, X.n_facets)]
         print("stacking: " + " ".join(steps))
         return 0
+    if X.n_vertices != X.n_facets + X.dim:
+        reason = (f"{X.n_vertices} vertices, but a stacking of {X.n_facets} "
+                  f"facets in dimension {X.dim} has {X.n_facets + X.dim}")
+    else:
+        reason = "the facets are not connected through codimension-one faces"
+    print(f"not stacked: {reason}", file=sys.stderr)
     return 1
 
 

@@ -203,39 +203,69 @@ def subcomplex(X: SimplicialComplex, facet_indices: Iterable[int]) -> Simplicial
     return build_complex([X.facet_tokens(i) for i in sorted(set(facet_indices))])
 
 
+class StackingTree:
+    """The facet-ridge incidence graph, a tree exactly when X is stacked.
+
+    Nodes ``0..n-1`` are the facets and nodes ``n..`` the codimension-one
+    faces in ``ridges`` order; an edge joins each facet to its d + 1
+    ridges.  A facet lists its ridges in ``combinations`` order and a
+    ridge its facets in ascending order.  ``order``, ``parent`` and
+    ``depth`` are the sweep from facet 0, which is its own parent.
+    """
+
+    __slots__ = ("ridges", "adjacency", "order", "parent", "depth")
+
+    def __init__(self, X: SimplicialComplex):
+        index = X.codim1_faces
+        self.ridges = tuple(index)
+        node = {ridge: r for r, ridge in enumerate(self.ridges, X.n_facets)}
+        self.adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
+                          for facet in X.facet_tuples]
+        self.adjacency.extend(index.values())
+        self.order, self.parent, self.depth = self.sweep((0,))
+
+    def sweep(self, sources: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
+        """Breadth-first search from the given nodes, all at depth 0: the
+        visiting order, each node's parent (a source is its own) and depth,
+        -1 for nodes it does not reach.  A facet's depth is twice its facet
+        distance to the nearest source facet."""
+        parent = [-1] * len(self.adjacency)
+        depth = [-1] * len(self.adjacency)
+        order = list(sources)
+        for u in order:
+            parent[u] = u
+            depth[u] = 0
+        for u in order:
+            below = depth[u] + 1
+            for w in self.adjacency[u]:
+                if depth[w] < 0:
+                    parent[w] = u
+                    depth[w] = below
+                    order.append(w)
+        return order, parent, depth
+
+
 def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     """A stacking order, or None when none exists.
 
     A pure complex is stacked iff |V| = n + d and its facets are connected
-    through codimension-one faces.  In a breadth-first order each facet
-    after the first shares a ridge with its parent, so it adds at most one
-    vertex; |V| = n + d forces exactly one, and that ridge is its base.
-    Each ridge is expanded once, so the search is linear in the input.
+    through codimension-one faces.  The certificate is the stacking tree's
+    sweep from facet 0: each facet after the first is reached through a
+    ridge of an earlier one, so it adds at most one vertex; |V| = n + d
+    forces exactly one, the facet minus that parent ridge.  The tree is
+    cached with the certificate, so it is built once per complex.
     """
     if "stacking_order" in X._cache:
         return X._cache["stacking_order"]
     result = None
-    if X.n_vertices == X.n_facets + X.dim:
-        index = X.codim1_faces
-        placed = [False] * X.n_facets
-        placed[0] = True
-        order = [0]
-        free: list[int] = []
-        expanded: set[frozenset[int]] = set()
-        for f in order:
-            for face in combinations(X.facet_tuples[f], X.dim):
-                ridge = frozenset(face)
-                if ridge in expanded:
-                    continue
-                expanded.add(ridge)
-                for g in index[ridge]:
-                    if not placed[g]:
-                        placed[g] = True
-                        order.append(g)
-                        (v,) = X.facets[g] - ridge
-                        free.append(v)
-        if len(order) == X.n_facets:
+    n = X.n_facets
+    if X.n_vertices == n + X.dim:
+        tree = StackingTree(X)
+        order = [u for u in tree.order if u < n]
+        if len(order) == n:
+            free = [min(X.facets[f] - tree.ridges[tree.parent[f] - n]) for f in order[1:]]
             result = StackingOrder(order=tuple(order), free_vertices=tuple(free))
+            X._cache["stacking_tree"] = tree
     X._cache["stacking_order"] = result
     return result
 

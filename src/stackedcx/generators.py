@@ -3,6 +3,7 @@ trees, polygon triangulations, and seeded random stackings."""
 
 import heapq
 import random
+from bisect import insort
 from itertools import combinations, product
 from typing import Iterator
 
@@ -81,11 +82,10 @@ def random_stacked(d: int, n: int, seed: int) -> SimplicialComplex:
         raise InputError("need d >= 1 and n >= 1")
     rng = random.Random(seed)
     facets: list[tuple[int, ...]] = [tuple(range(1, d + 2))]
-    next_label = d + 2
-    for _ in range(n - 1):
-        walls = sorted({tuple(sorted(c))
-                        for f in facets for c in combinations(f, d)})
+    walls = list(combinations(facets[0], d))  # every codim-1 face, sorted
+    for label in range(d + 2, d + n + 1):
         g = rng.choice(walls)
-        facets.append(tuple(sorted(g + (next_label,))))
-        next_label += 1
+        facets.append(g + (label,))  # the new label is the largest
+        for face in combinations(g, d - 1):
+            insort(walls, face + (label,))
     return build_complex([tuple(str(x) for x in f) for f in facets])

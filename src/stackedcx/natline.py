@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex, build_complex
 from .errors import InputError, NotAPartitionError
-from .partitions import facet_to_vertex, make_partition
+from .partitions import Partition, facet_to_vertex
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,15 @@ def line_graph(n: int) -> SimplicialComplex:
 
 def refine_once(P: PrefixPartition) -> PrefixPartition:
     """One refinement step: read [1..n] as edges of L_n, map to the vertex
-    partition, and read vertices back as [1..n+1]."""
+    partition, and read vertices back as [1..n+1].
+
+    Numeric tokens get dense ids in value order, so edge i of L_n is facet
+    i - 1 and integer k is vertex k - 1.
+    """
     X = line_graph(P.n)
-    edge_facet = {i: X.facet_from_tokens((str(i), str(i + 1)))
-                  for i in range(1, P.n + 1)}
-    Q = make_partition("facets",
-                       [[edge_facet[e] for e in block] for block in P.blocks],
-                       range(X.n_facets))
+    Q = Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))
     V = facet_to_vertex(X, Q)
-    blocks = [[int(X.token_of(v)) for v in block] for block in V.blocks]
-    return make_prefix_partition(P.n + 1, blocks)
+    return PrefixPartition(P.n + 1, tuple(tuple(v + 1 for v in block) for block in V.blocks))
 
 
 def refine_iter(P: PrefixPartition, steps: int) -> PrefixPartition:

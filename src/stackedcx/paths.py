@@ -1,18 +1,20 @@
-"""Gallery walks, unique facet/face paths, and distances.
+"""Gallery walks, unique facet/face paths, distances and neighborhoods.
 
 On a stacked complex every pair of facets has a unique path (a walk whose
 consecutive intersections are pairwise distinct), so distances here are
 well defined.  That is because the facet-ridge incidence graph of a
-stacked complex is a tree, the *stacking tree*: paths and distances are
-read off it, and raise InputError on complexes that are not stacked.
-Walk reduction itself works on any pure complex and stays as the
-definition the tree paths are tested against.
+stacked complex is a tree, the *stacking tree*, which
+:func:`complexes.find_stacking_order` builds with the certificate: paths,
+distances and distance neighborhoods are read off it, and raise
+InputError on complexes that are not stacked.  Walk reduction itself
+works on any pure complex, and it and :func:`wall_distance` stay as the
+definitions the tree queries are tested against.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, find_stacking_order
+from .complexes import SimplicialComplex, StackingTree, find_stacking_order
 from .errors import (
     InputError,
     NotAFaceError,
@@ -101,57 +103,11 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
     return _make_path(X, tuple(facets))
 
 
-class StackingTree:
-    """The facet-ridge incidence tree of a stacked complex.
-
-    Nodes ``0..n-1`` are the facets and nodes ``n..`` the codimension-one
-    faces in ``ridges`` order; an edge joins each facet to its d + 1
-    ridges.  ``parent`` and ``depth`` root the tree at facet 0, which is
-    its own parent.
-    """
-
-    __slots__ = ("ridges", "adjacency", "parent", "depth")
-
-    def __init__(self, X: SimplicialComplex):
-        n = X.n_facets
-        self.ridges = tuple(X.codim1_faces)
-        adjacency: list = [[] for _ in range(n)]
-        for r, members in enumerate(X.codim1_faces.values(), n):
-            adjacency.append(members)
-            for f in members:
-                adjacency[f].append(r)
-        self.adjacency = adjacency
-        _, self.parent, self.depth = self.sweep((0,))
-
-    def sweep(self, sources: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-        """Breadth-first search from the given nodes, all at depth 0: the
-        visiting order, each node's parent (a source is its own) and depth.
-        A facet's depth is twice its facet distance to the nearest source."""
-        parent = [-1] * len(self.adjacency)
-        depth = [-1] * len(self.adjacency)
-        order = list(sources)
-        for u in order:
-            parent[u] = u
-            depth[u] = 0
-        for u in order:
-            below = depth[u] + 1
-            for w in self.adjacency[u]:
-                if depth[w] < 0:
-                    parent[w] = u
-                    depth[w] = below
-                    order.append(w)
-        return order, parent, depth
-
-
 def stacking_tree(X: SimplicialComplex) -> StackingTree:
-    """The stacking tree of X, built once per complex."""
-    tree = X._cache.get("stacking_tree")
-    if tree is None:
-        if find_stacking_order(X) is None:
-            raise InputError("complex is not stacked")
-        tree = StackingTree(X)
-        X._cache["stacking_tree"] = tree
-    return tree
+    """The stacking tree of X, built with its stacking certificate."""
+    if find_stacking_order(X) is None:
+        raise InputError("complex is not stacked")
+    return X._cache["stacking_tree"]
 
 
 def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
@@ -297,19 +253,16 @@ def wall_distance(X: SimplicialComplex, f: int, g: frozenset[int]) -> int:
 
     Equals 1 exactly when f contains g.
     """
-    cache = X._cache.setdefault("wall_dist", {})
-    d = cache.get((f, g))
-    if d is None:
-        d = len(face_path(X, X.facets[f], g))
-        cache[(f, g)] = d
-    return d
+    return len(face_path(X, X.facets[f], g))
 
 
 def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
                           m: int) -> DistanceNeighborhood:
     """The neighborhood of facets whose distance to g is at most m.
 
-    At m = 0 the facet set is empty and the vertex set is g itself.
+    At m = 0 the facet set is empty and the vertex set is g itself.  One
+    stacking-tree sweep from g's ridge node: a facet at wall distance k
+    lies 2k - 1 deep, so level m holds the facets less than 2m deep.
     """
     g = frozenset(g)
     if g not in X.codim1_faces:
@@ -320,18 +273,18 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     if m == 0:
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
-    dist = [wall_distance(X, f, g) for f in range(X.n_facets)]
-    facets_m = tuple(f for f in range(X.n_facets) if dist[f] <= m)
+    tree = stacking_tree(X)
+    depth = tree.sweep((X.n_facets + tree.ridges.index(g),))[2]
+    facets_m = tuple(f for f in range(X.n_facets) if depth[f] < 2 * m)
     vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
     if m == 1:
         prev_vertices = g
     else:
-        prev_vertices = frozenset(
-            v for f in range(X.n_facets) if dist[f] <= m - 1
-            for v in X.facets[f])
+        prev_vertices = frozenset(v for f in facets_m if depth[f] < 2 * m - 2
+                                  for v in X.facets[f])
     entry: dict[int, int] = {}
     for v in sorted(vertices_m - prev_vertices):
-        hosts = [f for f in facets_m if v in X.facets[f]]
+        hosts = [f for f in X.vertex_facets[v] if depth[f] < 2 * m]
         if len(hosts) != 1:
             raise InputError(
                 f"vertex {X.token_of(v)} lies on {len(hosts)} facets at "

@@ -52,6 +52,13 @@ def merging_facet_to_vertex(X, Q) -> sc.Partition:
     return P
 
 
+def unconditional_merging_facet_to_vertex(X, Q) -> sc.Partition:
+    """A faulty facet_to_vertex: the true image with its first two blocks
+    merged, even when the union has two vertices on one facet."""
+    P = sc.facet_to_vertex(X, Q)
+    return sc.make_partition("vertices", [P.blocks[0] + P.blocks[1], *P.blocks[2:]])
+
+
 def facet(X, tokens: str) -> int:
     """Facet index from a comma-joined token string like '2,3,4'."""
     return X.facet_from_tokens(tokens.split(","))

@@ -8,9 +8,14 @@ import pytest
 import stackedcx as sc
 from stackedcx import cli, oracle
 from stackedcx.oracle import BijectionReport
-from stackedcx.textio import parse_complex
+from stackedcx.generators import random_stacked
+from stackedcx.textio import emit_complex, parse_complex
 
-from conftest import HEPTAGON_FACETS, merging_facet_to_vertex
+from conftest import (
+    HEPTAGON_FACETS,
+    merging_facet_to_vertex,
+    unconditional_merging_facet_to_vertex,
+)
 
 HEPTAGON_TEXT = "".join(line + "\n" for line in HEPTAGON_FACETS)
 FIG1A_TEXT = "".join(f"{i} {i + 1}\n" for i in range(1, 6))
@@ -58,6 +63,35 @@ class TestCheck:
         tetra.write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
         code, out, _ = run(capsys, "check", str(tetra))
         assert code == 1 and "stacked=no" in out
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1 2 3\n1 2 4\n1 3 4\n2 3 4\n",
+         "4 vertices, but a stacking of 4 facets in dimension 2 has 6"),
+        ("1 2\n2 3\n3 1\n4 5\n",
+         "the facets are not connected through codimension-one faces")],
+        ids=["tetrahedron-boundary", "cycle-and-edge"])
+    def test_not_stacked_reason_on_stderr(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "x.cx"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        X = parse_complex(text)
+        assert code == 1
+        assert out == (f"dimension={X.dim}\nfacets={X.n_facets}\n"
+                       f"vertices={X.n_vertices}\nstacked=no\n")
+        assert err == f"not stacked: {reason}\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        (HEPTAGON_TEXT, "dimension=2\nfacets=5\nvertices=7\nstacked=yes\n"
+         "stacking: 1,2,7 5+2,5,7 4+2,4,5 6+5,6,7 3+2,3,4\n"),
+        (emit_complex(random_stacked(3, 8, 4)),
+         "dimension=3\nfacets=8\nvertices=11\nstacked=yes\n"
+         "stacking: 1,2,3,4 5+1,2,4,5 7+1,2,4,7 6+1,2,5,6 11+1,2,7,11 "
+         "8+2,4,7,8 9+2,4,8,9 10+2,7,8,10\n")],
+        ids=["heptagon", "stacked-d3-seed4"])
+    def test_stacked_output_is_exact(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "x.cx"
+        path.write_text(text)
+        assert run(capsys, "check", str(path)) == (0, expected, "")
 
     def test_long_path_certificate_replays(self, capsys, tmp_path):
         edges = tmp_path / "path.cx"
@@ -188,6 +222,21 @@ class TestVerify:
                 assert sorted(tokens) == sorted(facets)
             else:
                 assert sorted(tokens) == [str(v) for v in range(1, 8)]
+
+
+    def test_image_with_two_vertices_on_a_facet_exits_two(self, capsys, heptagon_file,
+                                                          monkeypatch):
+        monkeypatch.setattr(oracle, "facet_to_vertex",
+                            unconditional_merging_facet_to_vertex)
+        code, out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
+        assert code == 2
+        assert out == ("leftCount=15\nrightCount=15\n"
+                       "roundTripFailures=30\nimageMismatches=15\n")
+        lines = err.splitlines()
+        assert 1 <= len(lines) <= 3
+        assert all(line.startswith("counterexample: ") for line in lines)
+        assert any(": facet partition that does not round-trip: " in line
+                   for line in lines)
 
 
 class TestCensus:

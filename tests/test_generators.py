@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 import stackedcx as sc
@@ -75,3 +78,23 @@ class TestRandomStacked:
             random_stacked(0, 3, seed=0)
         with pytest.raises(errors.InputError):
             random_stacked(2, 0, seed=0)
+
+
+def rebuilt_walls_random_stacked(d, n, seed):
+    """random_stacked as it sorts every codim-1 face anew on each step."""
+    rng = random.Random(seed)
+    facets = [tuple(range(1, d + 2))]
+    next_label = d + 2
+    for _ in range(n - 1):
+        walls = sorted({tuple(sorted(c)) for f in facets for c in combinations(f, d)})
+        g = rng.choice(walls)
+        facets.append(tuple(sorted(g + (next_label,))))
+        next_label += 1
+    return sc.build_complex([tuple(str(x) for x in f) for f in facets])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_stacked_matches_rebuilt_walls(d):
+    for seed in range(40):
+        for n in (1, 2, 7, 30):
+            assert random_stacked(d, n, seed) == rebuilt_walls_random_stacked(d, n, seed)

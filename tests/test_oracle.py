@@ -19,7 +19,7 @@ from stackedcx.oracle import (
     vertex_spec,
 )
 
-from conftest import cx, merging_facet_to_vertex
+from conftest import cx, merging_facet_to_vertex, unconditional_merging_facet_to_vertex
 
 
 def naive_set_partitions(items):
@@ -267,7 +267,11 @@ def reference_verify(X, r, s):
             mismatches += 1
             examples.append(("facet partition whose image is not in the "
                              "vertex family", Q))
-        if oracle.vertex_to_facet(X, image) != Q:
+        try:
+            back = oracle.vertex_to_facet(X, image)
+        except errors.NotIndependentError:
+            back = None
+        if back != Q:
             round_trips += 1
             examples.append(("facet partition that does not round-trip", Q))
     for P in right:
@@ -329,6 +333,7 @@ class TestLeanCore:
 
     @pytest.mark.parametrize("name, fault", [
         ("facet_to_vertex", merging_facet_to_vertex),
+        ("facet_to_vertex", unconditional_merging_facet_to_vertex),
         ("facet_to_vertex", constant_facet_to_vertex),
         ("vertex_spec", looser_vertex_spec)])
     @given(X=small_stackings, r=st.integers(1, 3), s=st.integers(1, 3))
@@ -342,6 +347,17 @@ class TestLeanCore:
             verify_calls = len(calls)
             assert got == reference_verify(X, r, s)
         assert verify_calls == got.left_count + (0 if got.ok else got.right_count)
+
+    def test_image_with_two_vertices_on_a_facet_does_not_round_trip(self, heptagon,
+                                                                     monkeypatch):
+        monkeypatch.setattr(oracle, "facet_to_vertex",
+                            unconditional_merging_facet_to_vertex)
+        report = oracle.verify_bijection(heptagon, 2, 1)
+        assert (report.left_count, report.right_count) == (15, 15)
+        assert report.image_mismatches == 15
+        assert report.round_trip_failures == 30
+        assert ("facet partition that does not round-trip",
+                report.counterexamples[0][1]) in report.counterexamples
 
     def test_passing_instance_skips_the_reverse_pass(self, heptagon, monkeypatch):
         calls = []

@@ -291,6 +291,21 @@ class TestDistances:
                                                 + sc.facet_distance(heptagon, b, c))
 
 
+def reference_neighborhood(X, g, m, dist):
+    """The level-m neighborhood of wall g from each facet's wall distance."""
+    if m == 0:
+        return sc.DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
+    facets = tuple(f for f in range(X.n_facets) if dist[f] <= m)
+    vertices = frozenset(v for f in facets for v in X.facets[f])
+    before = g if m == 1 else frozenset(
+        v for f in range(X.n_facets) if dist[f] <= m - 1 for v in X.facets[f])
+    entry = {}
+    for v in vertices - before:
+        (entry[v],) = [f for f in facets if v in X.facets[f]]
+    return sc.DistanceNeighborhood(m=m, facets=facets, vertices=vertices,
+                                   entry_facets=entry)
+
+
 class TestDistanceNeighborhood:
     def test_line_tree(self):
         X = sc.line_graph(4)
@@ -340,3 +355,14 @@ class TestDistanceNeighborhood:
         for f in range(heptagon.n_facets):
             contains = g <= heptagon.facets[f]
             assert (sc.wall_distance(heptagon, f, g) == 1) == contains
+
+    @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_wall_distance_reference(self, d, n, seed):
+        X = random_stacked(d, n, seed)
+        for g in X.codim1_faces:
+            dist = [sc.wall_distance(X, f, g) for f in range(X.n_facets)]
+            for m in range(0, max(dist) + 2):
+                got = sc.distance_neighborhood(X, g, m)
+                assert got == reference_neighborhood(X, g, m, dist)
+
