@@ -7,13 +7,13 @@ verification subcommand finds a property violation.
 import argparse
 import sys
 
-from .complexes import find_stacking_order, is_stacked
+from .complexes import find_stacking_order
 from .errors import InputError
 from .generators import polygon_triangulations, random_stacked, tree_from_prufer
 from .natline import check_colimit_compatibility, refine_iter
 from .oracle import census, enumerate_partitions, facet_spec, vertex_spec, verify_bijection
 from .partitions import facet_to_vertex, vertex_to_facet
-from .paths import face_path, facet_path
+from .paths import face_path, facet_path, stacking_tree
 from .textio import (
     emit_complex,
     export_dot,
@@ -43,11 +43,6 @@ def _load_complex(path: str):
     return parse_complex(_read(path))
 
 
-def _require_stacked(X) -> None:
-    if not is_stacked(X):
-        raise InputError("complex is not stacked")
-
-
 def cmd_check(args) -> int:
     X = _load_complex(args.complex)
     cert = find_stacking_order(X)
@@ -72,7 +67,7 @@ def cmd_check(args) -> int:
 
 def cmd_path(args) -> int:
     X = _load_complex(args.complex)
-    _require_stacked(X)
+    stacking_tree(X)
     if args.facets:
         f = X.facet_from_tokens(args.facets[0].split(","))
         g = X.facet_from_tokens(args.facets[1].split(","))
@@ -96,7 +91,7 @@ def cmd_path(args) -> int:
 
 def cmd_map(args) -> int:
     X = _load_complex(args.complex)
-    _require_stacked(X)
+    stacking_tree(X)
     text = _read(args.partition)
     if args.direction == "v2f":
         result = vertex_to_facet(X, parse_vertex_partition(text, X))
@@ -108,7 +103,7 @@ def cmd_map(args) -> int:
 
 def cmd_enumerate(args) -> int:
     X = _load_complex(args.complex)
-    _require_stacked(X)
+    stacking_tree(X)
     spec = (vertex_spec if args.kind == "vertices" else facet_spec)(X, args.r, args.s)
     for P in enumerate_partitions(spec):
         print(format_partition_line(P, X))
@@ -117,7 +112,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     X = _load_complex(args.complex)
-    _require_stacked(X)
+    stacking_tree(X)
     report = verify_bijection(X, args.r, args.s)
     for line in report.lines():
         print(line)
@@ -129,7 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_census(args) -> int:
     X = _load_complex(args.complex)
-    _require_stacked(X)
+    stacking_tree(X)
     report = census(X)
     for line in report.lines():
         print(line)

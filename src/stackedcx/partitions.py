@@ -8,11 +8,13 @@ vertices of their path share a block that no interior facet of the path
 meets.  Both relations are closed into equivalences with a union-find;
 unrelated elements stay as singleton blocks.
 
-Both maps read one cached pair table per complex, a row per pair, whose
-path interior is a single int: for facet pairs the OR of the interior
-facets' vertex masks, for vertex pairs the bitmask of the interior facet
-ids.  A block then misses the interior exactly when its own vertex or
-facet mask ANDs with it to zero.
+Both maps read the one pair table of :mod:`paths`, cached per complex: a
+row per facet pair i < j, which is also the row of the independent vertex
+pair (v, w) at the ends of its path, since the facets of a vertex form a
+subtree of the stacking tree.  The row carries the path interior twice,
+as the bitmask of the interior facet ids and as the OR of their vertex
+masks.  A block misses the interior exactly when its own facet or vertex
+mask ANDs with the matching one to zero.
 """
 
 from dataclasses import dataclass
@@ -22,11 +24,11 @@ from typing import Iterable, Literal
 from .complexes import SimplicialComplex
 from .errors import InputError, NotAPartitionError, NotIndependentError
 from .paths import (
+    _pair_table,
     end_vertices,
     face_path,
     facet_distance,
     facet_path,
-    stacking_tree,
     vertex_distance,
 )
 
@@ -85,9 +87,6 @@ class Partition:
 
     def elements(self) -> list[int]:
         return sorted(e for block in self.blocks for e in block)
-
-    def block_of(self) -> dict[int, int]:
-        return {e: i for i, block in enumerate(self.blocks) for e in block}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
@@ -165,6 +164,8 @@ def _index_cover(P: Partition, kind: GroundKind,
     for block in P.blocks:
         mask = 0
         for e in block:
+            if not 0 <= e < size:
+                raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
             mask |= 1 << e
         block_masks.append(mask)
         count += len(block)
@@ -178,83 +179,6 @@ def _index_cover(P: Partition, kind: GroundKind,
     return block_of, block_masks
 
 
-def _facet_pair_table(X: SimplicialComplex):
-    """Rows ``(i, j, v, w, interior)`` per facet pair i < j: the end
-    vertices v, w of their path and the OR of the vertex masks of its
-    interior facets.
-
-    One stacking-tree sweep per source facet i; a facet's interior is its
-    parent facet's interior plus that parent, and its first step from i is
-    inherited the same way.
-    """
-    table = X._cache.get("v2f_pairs")
-    if table is None:
-        tree = stacking_tree(X)
-        facets, masks = X.facets, X.facet_masks
-        n = X.n_facets
-        table = []
-        first = [0] * n
-        inner = [0] * n
-        for i in range(n):
-            order, parent, _ = tree.sweep((i,))
-            for g in order[1:]:  # parents come first
-                if g >= n:
-                    continue
-                before = parent[parent[g]]
-                if before == i:
-                    first[g], inner[g] = g, 0
-                else:
-                    first[g] = first[before]
-                    inner[g] = inner[before] | masks[before]
-            for j in range(i + 1, n):
-                (v,) = facets[i] - facets[first[j]]
-                (w,) = facets[j] - tree.ridges[parent[j] - n]
-                if v == w:
-                    raise InputError("facet path with equal end vertices "
-                                     "(is the complex stacked?)")
-                table.append((i, j, v, w, inner[j]))
-        table = tuple(table)
-        X._cache["v2f_pairs"] = table
-    return table
-
-
-def _vertex_pair_table(X: SimplicialComplex):
-    """Rows ``(v, w, first, last, interior)`` per independent vertex pair
-    v < w: the end facets of their face path and the bitmask of the ids of
-    its interior facets.
-
-    One stacking-tree sweep per vertex v from all its facets: the face path
-    to w runs from a facet of v to the facet of w nearest to them.
-    """
-    table = X._cache.get("f2v_pairs")
-    if table is None:
-        tree = stacking_tree(X)
-        star = X.vertex_facets
-        n = X.n_facets
-        table = []
-        start = [0] * n  # facet -> the facet of v's star its path starts at
-        inner = [0] * n  # facet -> the facets strictly between, as a mask
-        for v in range(X.n_vertices):
-            order, parent, depth = tree.sweep(star[v])
-            for g in order:
-                if g >= n:
-                    continue
-                if depth[g]:
-                    p = parent[parent[g]]
-                    start[g] = start[p]
-                    inner[g] = (inner[p] | 1 << p) if depth[p] else 0
-                else:
-                    start[g], inner[g] = g, 0
-            for w in range(v + 1, X.n_vertices):
-                nearest = min(star[w], key=depth.__getitem__)
-                if depth[nearest] == 0:  # facet mates are not independent
-                    continue
-                table.append((v, w, start[nearest], nearest, inner[nearest]))
-        table = tuple(table)
-        X._cache["f2v_pairs"] = table
-    return table
-
-
 def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     """Map a partition of vertices into independent blocks to the induced
     facet partition."""
@@ -265,9 +189,9 @@ def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
             raise NotIndependentError("a block has two vertices on one facet")
 
     uf = UnionFind(X.n_facets)
-    for i, j, v, w, interior in _facet_pair_table(X):
-        b = block_of[v]
-        if block_of[w] == b and not interior & block_masks[b]:
+    # no per-row local: most rows fail the first test
+    for i, j, v, w, _, vertices_between in _pair_table(X):
+        if block_of[v] == block_of[w] and not vertices_between & block_masks[block_of[v]]:
             uf.union(i, j)
     return Partition(kind="facets",
                      blocks=tuple(map(tuple, uf.groups())))
@@ -277,9 +201,9 @@ def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of, block_masks = _index_cover(Q, "facets", X.n_facets)
     uf = UnionFind(X.n_vertices)
-    for v, w, first, last, interior in _vertex_pair_table(X):
-        b = block_of[first]
-        if block_of[last] == b and not interior & block_masks[b]:
+    # no per-row local: most rows fail the first test
+    for i, j, v, w, facets_between, _ in _pair_table(X):
+        if block_of[i] == block_of[j] and not facets_between & block_masks[block_of[i]]:
             uf.union(v, w)
     return Partition(kind="vertices",
                      blocks=tuple(map(tuple, uf.groups())))

@@ -9,9 +9,17 @@ distances and distance neighborhoods are read off it, and raise
 InputError on complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
+
+All-pairs data lives in one cached pair table, a row per facet pair
+i < j with the end vertices v, w of its path and its interior as a facet
+id mask and a vertex mask.  The rows are in bijection with the
+independent vertex pairs, since a vertex's facets form a subtree: the
+face path of (v, w) is the facet path i..j.  Both distance matrices here
+and both partition maps read it.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, StackingTree, find_stacking_order
@@ -208,31 +216,76 @@ def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
     return len(facet_path(X, f, g)) - 1
 
 
+def _pair_table(X: SimplicialComplex):
+    """Rows ``(i, j, v, w, facets_between, vertices_between)``, one per
+    facet pair i < j: the end vertices v, w of their path, the bitmask of
+    the ids of its interior facets and the OR of their vertex masks.
+
+    The rows are also the independent vertex pairs, each once: the facets
+    of a vertex form a subtree, so v lies on no facet of the path after i
+    and w on none before j, which makes i..j the face path of (v, w).
+
+    One stacking-tree sweep per source facet i.  A facet's end vertex is
+    the one its parent facet lacks; it inherits its start vertex from the
+    first step off i, and its interior from its parent facet plus that
+    parent.
+    """
+    table = X._cache.get("pair_table")
+    if table is None:
+        tree = stacking_tree(X)
+        masks = X.facet_masks
+        n = X.n_facets
+        table = []
+        start = [0] * n
+        end = [0] * n
+        facets_between = [0] * n
+        vertices_between = [0] * n
+        for i in range(n):
+            order, parent, _ = tree.sweep((i,))
+            for g in order[1:]:  # parents come first
+                if g >= n:
+                    continue
+                before = parent[parent[g]]
+                end[g] = (masks[g] & ~masks[before]).bit_length() - 1
+                if before == i:
+                    start[g] = (masks[i] & ~masks[g]).bit_length() - 1
+                    facets_between[g] = vertices_between[g] = 0
+                else:
+                    start[g] = start[before]
+                    facets_between[g] = facets_between[before] | 1 << before
+                    vertices_between[g] = vertices_between[before] | masks[before]
+            table.extend(zip(repeat(i), range(i + 1, n), start[i + 1:], end[i + 1:],
+                             facets_between[i + 1:], vertices_between[i + 1:]))
+        table = tuple(table)
+        X._cache["pair_table"] = table
+    return table
+
+
 def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All vertex distances, one stacking-tree sweep per vertex: from the
-    facets of v, the nearest facet of w lies 2 (dist(v, w) - 1) deep."""
+    """All vertex distances: 1 for facet mates, and for an independent
+    pair the facet count of its face path, read off its pair-table row."""
     matrix = X._cache.get("vertex_dist_matrix")
     if matrix is None:
-        tree = stacking_tree(X)
-        star = X.vertex_facets
-        rows = []
-        for v in range(X.n_vertices):
-            _, _, depth = tree.sweep(star[v])
-            rows.append(tuple(0 if w == v else 1 + min(depth[f] for f in star[w]) // 2
-                              for w in range(X.n_vertices)))
-        matrix = tuple(rows)
+        size = X.n_vertices
+        rows = [[1] * size for _ in range(size)]
+        for v in range(size):
+            rows[v][v] = 0
+        for _, _, v, w, between, _ in _pair_table(X):
+            rows[v][w] = rows[w][v] = between.bit_count() + 2
+        matrix = tuple(map(tuple, rows))
         X._cache["vertex_dist_matrix"] = matrix
     return matrix
 
 
 def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All facet distances, one stacking-tree sweep per facet."""
+    """All facet distances, read off the pair table."""
     matrix = X._cache.get("facet_dist_matrix")
     if matrix is None:
-        tree = stacking_tree(X)
         n = X.n_facets
-        matrix = tuple(tuple(d // 2 for d in tree.sweep((f,))[2][:n])
-                       for f in range(n))
+        rows = [[0] * n for _ in range(n)]
+        for i, j, _, _, between, _ in _pair_table(X):
+            rows[i][j] = rows[j][i] = between.bit_count() + 1
+        matrix = tuple(map(tuple, rows))
         X._cache["facet_dist_matrix"] = matrix
     return matrix
 

@@ -158,6 +158,8 @@ class TestPrefixPartition:
             sc.make_prefix_partition(3, [[1, 2], [2, 3]])
         with pytest.raises(errors.NotAPartitionError):
             sc.make_prefix_partition(3, [[0, 1, 2, 3]])
+        with pytest.raises(errors.NotAPartitionError):  # built directly
+            sc.refine_once(sc.PrefixPartition(3, ((0, 1, 2),)))
 
     def test_scatter(self):
         assert prefix(6, [1, 4], [2, 5], [3, 6]).scatter() == 3

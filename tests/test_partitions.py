@@ -107,6 +107,13 @@ class TestVertexToFacet:
         bad = sc.make_partition("vertices", [[0, 2]])
         with pytest.raises(errors.NotAPartitionError):
             sc.vertex_to_facet(heptagon, bad)
+        # the constructor trusts its input; the maps must not
+        for blocks in (((-1, 0, 1), (2, 3, 4, 5, 6)), ((0, 1, 2, 3, 4, 5, 7),)):
+            with pytest.raises(errors.NotAPartitionError):
+                sc.vertex_to_facet(heptagon, sc.Partition("vertices", blocks))
+        for blocks in (((-1, 0), (1, 2, 3)), ((0, 1, 2, 3, 5),)):
+            with pytest.raises(errors.NotAPartitionError):
+                sc.facet_to_vertex(heptagon, sc.Partition("facets", blocks))
 
     def test_all_singletons(self, heptagon):
         singles = sc.make_partition(

@@ -10,12 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import errors, partitions, paths
+from stackedcx import errors, paths
 from stackedcx.generators import random_stacked
 
 from conftest import cx
 
-stackings = st.builds(random_stacked, st.integers(1, 3), st.integers(1, 25),
+
+def relabelled(X, seed):
+    """X with its vertex tokens shuffled: random_stacked numbers vertices in
+    stacking order, which would hide faults that pick a vertex by its id."""
+    tokens = [X.token_of(v) for v in range(X.n_vertices)]
+    random.Random(seed).shuffle(tokens)
+    return sc.build_complex([[tokens[v] for v in f] for f in X.facet_tuples])
+
+
+stackings = st.builds(relabelled,
+                      st.builds(random_stacked, st.integers(1, 3), st.integers(1, 25),
+                                st.integers(0, 10**6)),
                       st.integers(0, 10**6))
 
 
@@ -55,16 +66,18 @@ def independent(X, v, w):
     return not any(v in f and w in f for f in X.facets)
 
 
-def reference_facet_pair_table(X):
-    """Rows (i, j, v, w, OR of the interior facets' vertex masks)."""
+def reference_pair_table(X):
+    """Rows (i, j, v, w, bitmask of the interior facet ids, OR of the
+    interior facets' vertex masks)."""
     table = []
     for i, j in combinations(range(X.n_facets), 2):
         path = reference_facet_path(X, i, j)
         v, w = sc.end_vertices(X, path)
-        interior = 0
+        facets_between = vertices_between = 0
         for f in path.facets[1:-1]:
-            interior |= X.facet_masks[f]
-        table.append((i, j, v, w, interior))
+            facets_between |= 1 << f
+            vertices_between |= X.facet_masks[f]
+        table.append((i, j, v, w, facets_between, vertices_between))
     return tuple(table)
 
 
@@ -132,8 +145,16 @@ def test_facet_path_is_reduced_bfs_walk(X):
 @given(stackings)
 @settings(max_examples=25, deadline=None)
 def test_pair_tables_match_reduce_walk_reference(X):
-    assert partitions._facet_pair_table(X) == reference_facet_pair_table(X)
-    assert partitions._vertex_pair_table(X) == reference_vertex_pair_table(X)
+    table = paths._pair_table(X)
+    assert table == reference_pair_table(X)
+    # each independent vertex pair once, with its face path's ends and interior
+    by_vertices = {}
+    for i, j, v, w, facets_between, _ in table:
+        ends = (i, j) if v < w else (j, i)
+        by_vertices[min(v, w), max(v, w)] = (*ends, facets_between)
+    assert len(by_vertices) == len(table)
+    assert tuple((v, w, *by_vertices[v, w]) for v, w in sorted(by_vertices)) \
+        == reference_vertex_pair_table(X)
 
 
 @given(stackings)
