@@ -89,15 +89,6 @@ class SimplicialComplex:
         return self.facet_index(frozenset(self.id_of(t) for t in tokens))
 
     @property
-    def facet_masks(self) -> tuple[int, ...]:
-        """Vertex bitmask per facet, for fast disjointness tests."""
-        masks = self._cache.get("facet_masks")
-        if masks is None:
-            masks = tuple(sum(1 << v for v in f) for f in self.facets)
-            self._cache["facet_masks"] = masks
-        return masks
-
-    @property
     def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:
         """Every codimension-one face mapped to the facets containing it."""
         index = self._cache.get("codim1_faces")

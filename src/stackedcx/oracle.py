@@ -191,10 +191,12 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     every other case, so a failing report keeps its exact counts and
     counterexamples.  An image that is not a partition into independent
     sets does not round-trip.  Counterexamples are (reason, partition)
-    pairs, at most three.
+    pairs, at most three.  A complex of more than ``MAX_EXACT`` facets
+    raises OutOfRangeError before anything is enumerated.
     """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
+    _check_exact_range(X.n_facets)
     left = list(enumerate_partitions(facet_spec(X, r, s)))
     right = list(enumerate_partitions(vertex_spec(X, r + X.dim, s + 1)))
     left_set = set(left)

@@ -5,65 +5,33 @@ partition: two independent vertices are related when the end facets of
 their face path share a block that no interior facet of the path touches.
 Vertex partition -> facet partition: two facets are related when the end
 vertices of their path share a block that no interior facet of the path
-meets.  Both relations are closed into equivalences with a union-find;
+meets.  The maps return the equivalences these relations generate;
 unrelated elements stay as singleton blocks.
 
-Both maps read the one pair table of :mod:`paths`, cached per complex: a
-row per facet pair i < j, which is also the row of the independent vertex
-pair (v, w) at the ends of its path, since the facets of a vertex form a
-subtree of the stacking tree.  The row carries the path interior twice,
-as the bitmask of the interior facet ids and as the OR of their vertex
-masks.  A block misses the interior exactly when its own facet or vertex
-mask ANDs with the matching one to zero.
+Both maps are one preorder pass over the stacking tree rooted at facet 0
+(:func:`_label`).  Every vertex outside the root facet first appears at
+one facet, the free vertex of that facet, so each map relates every new
+element, as it is reached, to one element seen before it: the port of
+the nearest ancestor facet in the right block.  Classes only grow, so a
+label per element holds them, and no all-pairs structure is built.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import InputError, NotAPartitionError, NotIndependentError
 from .paths import (
-    _pair_table,
     end_vertices,
     face_path,
     facet_distance,
     facet_path,
+    stacking_tree,
     vertex_distance,
 )
 
 GroundKind = Literal["vertices", "facets", "integers"]
-
-
-class UnionFind:
-    """Disjoint sets over dense ints 0..n-1, with path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def union(self, a: int, b: int) -> None:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-
-    def groups(self) -> list[list[int]]:
-        """Blocks in canonical order: ascending members, ordered by minimum."""
-        parent = self.parent
-        buckets: dict[int, list[int]] = {}
-        for e, root in enumerate(parent):
-            while parent[root] != root:
-                root = parent[root]
-            if root in buckets:
-                buckets[root].append(e)
-            else:
-                buckets[root] = [e]
-        return list(buckets.values())
 
 
 class Partition:
@@ -152,61 +120,147 @@ def is_scattered(X: SimplicialComplex, members: Iterable[int], s: int,
     return all(dist(X, a, b) >= s for a, b in combinations(items, 2))
 
 
-def _index_cover(P: Partition, kind: GroundKind,
-                 size: int) -> tuple[list[int], list[int]]:
+def _index_cover(P: Partition, kind: GroundKind, size: int) -> list[int]:
     """Check that P partitions the ``size`` elements of ``kind``; return
-    each element's block number and each block's members as a mask."""
+    each element's block number."""
     if P.kind != kind:
         raise NotAPartitionError(f"expected a partition of {kind}, got {P.kind}")
-    block_masks = []
-    count = 0
-    cover = 0
-    for block in P.blocks:
-        mask = 0
-        for e in block:
-            if not 0 <= e < size:
-                raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
-            mask |= 1 << e
-        block_masks.append(mask)
-        count += len(block)
-        cover |= mask
-    if count != size or cover != (1 << size) - 1:
-        raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
-    block_of = [0] * size
+    block_of = [-1] * size
     for b, block in enumerate(P.blocks):
         for e in block:
+            if not 0 <= e < size or block_of[e] >= 0:
+                raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
             block_of[e] = b
-    return block_of, block_masks
+    if -1 in block_of:
+        raise NotAPartitionError(f"blocks do not partition the {size} {kind}")
+    return block_of
+
+
+def _tree_pass(X: SimplicialComplex):
+    """The stacking tree rooted at facet 0, as the maps walk it.
+
+    Returns ``(walk, parent, free, up)``.  For each non-root facet c,
+    ``parent[c]`` is the facet p across c's parent ridge, ``free[c]`` the
+    vertex c - p and ``up[c]`` the vertex p - c; the root's entries are 0
+    and unused.  ``walk`` is a depth-first walk that lists c when it
+    enters c and ~c when it leaves it; the root is never entered.  Built
+    once per complex, without recursion.
+    """
+    cached = X._cache.get("tree_pass")
+    if cached is None:
+        tree_parent = stacking_tree(X).parent
+        facets = X.facets
+        n = X.n_facets
+        parent = [0] * n
+        free = [0] * n
+        up = [0] * n
+        children: list[list[int]] = [[] for _ in range(n)]
+        for c in range(1, n):
+            p = tree_parent[tree_parent[c]]
+            parent[c] = p
+            (free[c],) = facets[c] - facets[p]
+            (up[c],) = facets[p] - facets[c]
+            children[p].append(c)
+        walk = []
+        stack = list(children[0])
+        while stack:
+            c = stack.pop()
+            walk.append(c)
+            if c > 0:
+                stack.append(~c)
+                stack.extend(children[c])
+        cached = (walk, parent, free, up)
+        X._cache["tree_pass"] = cached
+    return cached
+
+
+def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
+           lookup_key: Sequence[int], element: Sequence[int], size: int,
+           n_blocks: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical blocks of the equivalence one tree walk builds over
+    ``size`` elements: both maps, which differ only in their arguments.
+
+    Entering a non-root facet c, with parent p, first crosses the edge
+    p-c: ``cur[edge_key[c]]`` is saved and set to the label of
+    ``edge_source[c]``, and restored when the walk leaves c.  Then the
+    element of c joins the class ``cur[lookup_key[c]]``; when that is
+    still -1 the element starts its block's root region instead, and its
+    own label is written there and never restored.  Leaving a facet
+    restores its edge's entry, so only the edges on c's path to the root
+    are in effect at c.  The element is new (the free vertex c - p first
+    appears at c, as a vertex's facets form a subtree; in v2f it is c
+    itself), so classes only grow and a label per element holds them.
+
+    f2v: edge key ``block_of[p]``, edge source ``up[c]``, lookup key
+    ``block_of[c]``, element ``free[c]``.  Let B be c's block and a the
+    nearest proper ancestor of c in B, with x its child towards c.  The
+    edge a-x is keyed B and carries up[x] = a - x; an edge keyed B below
+    it would start at a nearer B facet.  So c joins up[x]: the path a..c
+    has both ends in B, none inside, and end vertices up[x] and free[c].
+
+    v2f: edge key ``block_of[up[c]]``, edge source ``p``, lookup key
+    ``block_of[free[c]]``, element c.  When P is independent, the nearest
+    proper ancestor a of c that meets c's block C is the parent facet of
+    the first edge a-x upward from c whose up[x] lies in C.  Let u be a's
+    vertex in C.  Were u in x, then x = c would hold u and free[c], which
+    is not in a, two vertices of C on one facet, and a proper ancestor x
+    would meet C nearer than a; so u = up[x].  An edge keyed C below a-x
+    would start at a nearer facet meeting C.  So c joins a: the path a..c
+    has end vertices up[x] and free[c] in C and no inner facet meeting C.
+
+    Every join is thus a related pair.  Conversely, a related pair (i, j)
+    with j below i is such a join.  Otherwise the path turns at a facet g
+    between them, and g and the facets up to it are inside the path, so
+    i and j have the same nearest qualifying ancestor above g, reached
+    through the same edge, and join the same class; when there is none,
+    both start or join the root region.  Any two elements of a root
+    region are related, since no facet above either one qualifies.
+    """
+    label = list(range(size))
+    cur = [-1] * n_blocks
+    saved = [0] * len(edge_key)
+    for c in walk:
+        if c < 0:
+            cur[edge_key[~c]] = saved[~c]
+            continue
+        k = edge_key[c]
+        saved[c] = cur[k]
+        cur[k] = label[edge_source[c]]
+        k = lookup_key[c]
+        if cur[k] < 0:
+            cur[k] = element[c]
+        else:
+            label[element[c]] = cur[k]
+    blocks: dict[int, list[int]] = {}
+    for e, root in enumerate(label):
+        if root in blocks:
+            blocks[root].append(e)
+        else:
+            blocks[root] = [e]
+    return tuple(map(tuple, blocks.values()))
 
 
 def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     """Map a partition of vertices into independent blocks to the induced
     facet partition."""
-    block_of, block_masks = _index_cover(P, "vertices", X.n_vertices)
+    block_of = _index_cover(P, "vertices", X.n_vertices)
     size = X.dim + 1
     for facet in X.facet_tuples:
         if len(set(map(block_of.__getitem__, facet))) != size:
             raise NotIndependentError("a block has two vertices on one facet")
-
-    uf = UnionFind(X.n_facets)
-    # no per-row local: most rows fail the first test
-    for i, j, v, w, _, vertices_between in _pair_table(X):
-        if block_of[v] == block_of[w] and not vertices_between & block_masks[block_of[v]]:
-            uf.union(i, j)
-    return Partition(kind="facets",
-                     blocks=tuple(map(tuple, uf.groups())))
+    walk, parent, free, up = _tree_pass(X)
+    return Partition(kind="facets", blocks=_label(
+        walk, [block_of[u] for u in up], parent, [block_of[v] for v in free],
+        range(X.n_facets), X.n_facets, len(P.blocks)))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
-    block_of, block_masks = _index_cover(Q, "facets", X.n_facets)
-    uf = UnionFind(X.n_vertices)
-    # no per-row local: most rows fail the first test
-    for i, j, v, w, facets_between, _ in _pair_table(X):
-        if block_of[i] == block_of[j] and not facets_between & block_masks[block_of[i]]:
-            uf.union(v, w)
-    return Partition(kind="vertices",
-                     blocks=tuple(map(tuple, uf.groups())))
+    block_of = _index_cover(Q, "facets", X.n_facets)
+    walk, parent, free, up = _tree_pass(X)
+    return Partition(kind="vertices", blocks=_label(
+        walk, [block_of[p] for p in parent], up, block_of, free,
+        X.n_vertices, len(Q.blocks)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +275,7 @@ class GeneratorPair:
 def vertex_to_facet_generators(X: SimplicialComplex,
                                P: Partition) -> list[GeneratorPair]:
     """The facet pairs :func:`vertex_to_facet` closes over, with witnesses."""
-    block_of, block_masks = _index_cover(P, "vertices", X.n_vertices)
+    block_of = _index_cover(P, "vertices", X.n_vertices)
     out = []
     for i, j in combinations(range(X.n_facets), 2):
         path = facet_path(X, i, j)
@@ -229,8 +283,7 @@ def vertex_to_facet_generators(X: SimplicialComplex,
         b = block_of[v]
         if block_of[w] != b:
             continue
-        bm = block_masks[b]
-        if any(X.facet_masks[f] & bm for f in path.facets[1:-1]):
+        if any(block_of[u] == b for f in path.facets[1:-1] for u in X.facets[f]):
             continue
         out.append(GeneratorPair(a=i, b=j, witness=path.facets))
     return out
@@ -239,7 +292,7 @@ def vertex_to_facet_generators(X: SimplicialComplex,
 def facet_to_vertex_generators(X: SimplicialComplex,
                                Q: Partition) -> list[GeneratorPair]:
     """The independent vertex pairs :func:`facet_to_vertex` closes over."""
-    block_of, _ = _index_cover(Q, "facets", X.n_facets)
+    block_of = _index_cover(Q, "facets", X.n_facets)
     out = []
     for v, w in combinations(range(X.n_vertices), 2):
         if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):

@@ -10,16 +10,12 @@ InputError on complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
-All-pairs data lives in one cached pair table, a row per facet pair
-i < j with the end vertices v, w of its path and its interior as a facet
-id mask and a vertex mask.  The rows are in bijection with the
-independent vertex pairs, since a vertex's facets form a subtree: the
-face path of (v, w) is the facet path i..j.  Both distance matrices here
-and both partition maps read it.
+The two all-pairs distance matrices, which only the capped enumerator
+reads, take one breadth-first sweep of the tree per facet or vertex: a
+facet lies twice its facet distance deep in a sweep from another facet.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, StackingTree, find_stacking_order
@@ -199,16 +195,9 @@ def vertex_distance(X: SimplicialComplex, v: int, w: int) -> int:
     of the unique face path between them."""
     if v == w:
         return 0
-    cache = X._cache.setdefault("vertex_dist", {})
-    d = cache.get((v, w))
-    if d is None:
-        if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
-            d = 1
-        else:
-            d = len(face_path(X, (v,), (w,)))
-        cache[(v, w)] = d
-        cache[(w, v)] = d
-    return d
+    if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
+        return 1
+    return len(face_path(X, (v,), (w,)))
 
 
 def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
@@ -216,76 +205,37 @@ def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
     return len(facet_path(X, f, g)) - 1
 
 
-def _pair_table(X: SimplicialComplex):
-    """Rows ``(i, j, v, w, facets_between, vertices_between)``, one per
-    facet pair i < j: the end vertices v, w of their path, the bitmask of
-    the ids of its interior facets and the OR of their vertex masks.
-
-    The rows are also the independent vertex pairs, each once: the facets
-    of a vertex form a subtree, so v lies on no facet of the path after i
-    and w on none before j, which makes i..j the face path of (v, w).
-
-    One stacking-tree sweep per source facet i.  A facet's end vertex is
-    the one its parent facet lacks; it inherits its start vertex from the
-    first step off i, and its interior from its parent facet plus that
-    parent.
-    """
-    table = X._cache.get("pair_table")
-    if table is None:
-        tree = stacking_tree(X)
-        masks = X.facet_masks
-        n = X.n_facets
-        table = []
-        start = [0] * n
-        end = [0] * n
-        facets_between = [0] * n
-        vertices_between = [0] * n
-        for i in range(n):
-            order, parent, _ = tree.sweep((i,))
-            for g in order[1:]:  # parents come first
-                if g >= n:
-                    continue
-                before = parent[parent[g]]
-                end[g] = (masks[g] & ~masks[before]).bit_length() - 1
-                if before == i:
-                    start[g] = (masks[i] & ~masks[g]).bit_length() - 1
-                    facets_between[g] = vertices_between[g] = 0
-                else:
-                    start[g] = start[before]
-                    facets_between[g] = facets_between[before] | 1 << before
-                    vertices_between[g] = vertices_between[before] | masks[before]
-            table.extend(zip(repeat(i), range(i + 1, n), start[i + 1:], end[i + 1:],
-                             facets_between[i + 1:], vertices_between[i + 1:]))
-        table = tuple(table)
-        X._cache["pair_table"] = table
-    return table
-
-
 def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All vertex distances: 1 for facet mates, and for an independent
-    pair the facet count of its face path, read off its pair-table row."""
+    """All vertex distances, one sweep from each vertex's facets.
+
+    The facets of a vertex form a subtree, so the face path of an
+    independent pair (v, w) is the tree path between their two subtrees,
+    and its facet count is one more than the least facet distance from a
+    facet of v to one of w; for facet mates that distance is 0.
+    """
     matrix = X._cache.get("vertex_dist_matrix")
     if matrix is None:
-        size = X.n_vertices
-        rows = [[1] * size for _ in range(size)]
-        for v in range(size):
-            rows[v][v] = 0
-        for _, _, v, w, between, _ in _pair_table(X):
-            rows[v][w] = rows[w][v] = between.bit_count() + 2
-        matrix = tuple(map(tuple, rows))
+        tree = stacking_tree(X)
+        stars = X.vertex_facets
+        rows = []
+        for v, star in enumerate(stars):
+            depth = tree.sweep(star)[2]
+            row = [1 + min(map(depth.__getitem__, other)) // 2 for other in stars]
+            row[v] = 0
+            rows.append(tuple(row))
+        matrix = tuple(rows)
         X._cache["vertex_dist_matrix"] = matrix
     return matrix
 
 
 def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All facet distances, read off the pair table."""
+    """All facet distances, one sweep from each facet."""
     matrix = X._cache.get("facet_dist_matrix")
     if matrix is None:
+        tree = stacking_tree(X)
         n = X.n_facets
-        rows = [[0] * n for _ in range(n)]
-        for i, j, _, _, between, _ in _pair_table(X):
-            rows[i][j] = rows[j][i] = between.bit_count() + 1
-        matrix = tuple(map(tuple, rows))
+        matrix = tuple(tuple(d >> 1 for d in tree.sweep((f,))[2][:n])
+                       for f in range(n))
         X._cache["facet_dist_matrix"] = matrix
     return matrix
 

@@ -6,7 +6,7 @@ facet written as its vertex tokens joined by commas.  Lines starting with
 '#' are comments, blank lines are ignored, encoding is UTF-8.
 """
 
-from .complexes import SimplicialComplex, build_complex, dual_adjacency
+from .complexes import _NUMERIC, SimplicialComplex, build_complex, dual_adjacency
 from .errors import (
     DuplicateFacetError,
     DuplicateVertexError,
@@ -109,7 +109,7 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
 
 def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
     def resolve(tok: str, ln: int) -> int:
-        if not tok.isdigit() or not 1 <= int(tok) <= n:
+        if not _NUMERIC.match(tok) or not 1 <= int(tok) <= n:
             raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
         return int(tok)
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import stackedcx as sc
@@ -57,6 +59,32 @@ def unconditional_merging_facet_to_vertex(X, Q) -> sc.Partition:
     merged, even when the union has two vertices on one facet."""
     P = sc.facet_to_vertex(X, Q)
     return sc.make_partition("vertices", [P.blocks[0] + P.blocks[1], *P.blocks[2:]])
+
+
+def relabelled(X, seed):
+    """X with its vertex tokens shuffled: random_stacked numbers vertices in
+    stacking order, which would hide faults that pick a vertex by its id."""
+    tokens = [X.token_of(v) for v in range(X.n_vertices)]
+    random.Random(seed).shuffle(tokens)
+    return sc.build_complex([[tokens[v] for v in f] for f in X.facet_tuples])
+
+
+def closure(kind, size, pairs):
+    """The equivalence generated by the pairs, as a canonical partition."""
+    root = list(range(size))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    blocks: dict[int, list[int]] = {}
+    for e in range(size):
+        blocks.setdefault(find(e), []).append(e)
+    return sc.make_partition(kind, blocks.values(), range(size))
 
 
 def facet(X, tokens: str) -> int:

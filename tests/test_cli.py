@@ -238,6 +238,13 @@ class TestVerify:
         assert any(": facet partition that does not round-trip: " in line
                    for line in lines)
 
+    def test_more_facets_than_exact_range_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "big.cx"
+        path.write_text(emit_complex(random_stacked(2, 26, 0)))
+        code, out, err = run(capsys, "verify", str(path), "-r", "2", "-s", "1")
+        assert code == 1 and out == ""
+        assert "n=26 outside supported range 0..25" in err
+
 
 class TestCensus:
     def test_heptagon(self, capsys, heptagon_file):
@@ -265,6 +272,15 @@ class TestNat:
         code, out, _ = run(capsys, "nat", "--pattern", str(pattern),
                            "-n", "3", "--steps", "0")
         assert code == 0 and out.splitlines()[0] == "{1 3} {2}"
+
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0662"])  # superscript 2, Arabic-Indic 2
+    def test_non_ascii_digit_token_exits_one(self, capsys, tmp_path, token):
+        pattern = tmp_path / "p.part"
+        pattern.write_text(f"1 {token}\n", encoding="utf-8")
+        code, out, err = run(capsys, "nat", "--pattern", str(pattern),
+                             "-n", "2", "--steps", "1")
+        assert code == 1 and out == ""
+        assert repr(token) in err and "Traceback" not in err
 
 
 class TestGen:

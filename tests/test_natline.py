@@ -114,6 +114,13 @@ class TestRefineIter:
             (1, 3, 5, 7, 10, 12, 15, 17, 19, 21),
         }
 
+    def test_long_three_block_pattern(self):
+        P = random_prefix(2000, random.Random(2000))
+        got = sc.refine_iter(P, 2)
+        assert got.n == 2002 and got.n_blocks == P.n_blocks + 2
+        assert got.scatter() == P.scatter() + 2
+        assert sc.check_colimit_compatibility(P)
+
     def test_negative_steps_rejected(self):
         with pytest.raises(errors.InputError):
             sc.refine_iter(prefix(2, [1], [2]), -1)

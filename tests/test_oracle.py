@@ -19,7 +19,12 @@ from stackedcx.oracle import (
     vertex_spec,
 )
 
-from conftest import cx, merging_facet_to_vertex, unconditional_merging_facet_to_vertex
+from conftest import (
+    cx,
+    merging_facet_to_vertex,
+    relabelled,
+    unconditional_merging_facet_to_vertex,
+)
 
 
 def naive_set_partitions(items):
@@ -311,42 +316,48 @@ def counting_vertex_to_facet(calls):
 
 small_stackings = st.builds(random_stacked, st.integers(1, 3), st.integers(1, 8),
                             st.integers(0, 10**6))
+# each stacking as generated and, beside it, a copy with shuffled tokens
+both_labellings = st.builds(lambda X, seed: (X, relabelled(X, seed)),
+                            small_stackings, st.integers(0, 10**6))
 
 
 class TestLeanCore:
-    @given(small_stackings, st.sampled_from(("facets", "vertices", "integers")),
+    @given(both_labellings, st.sampled_from(("facets", "vertices", "integers")),
            st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
-    def test_enumeration_matches_restricted_growth_brute_force(self, X, kind, r, s):
-        if kind == "facets":
-            spec = facet_spec(X, r, s)
-        elif kind == "vertices":
-            spec = vertex_spec(X, r, s)
-        else:
-            spec = prefix_spec(X.n_vertices, r, s)
-        assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
+    def test_enumeration_matches_restricted_growth_brute_force(self, pair, kind, r, s):
+        for X in pair:
+            if kind == "facets":
+                spec = facet_spec(X, r, s)
+            elif kind == "vertices":
+                spec = vertex_spec(X, r, s)
+            else:
+                spec = prefix_spec(X.n_vertices, r, s)
+            assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
 
-    @given(small_stackings, st.integers(1, 3), st.integers(1, 3))
+    @given(both_labellings, st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_verify_matches_two_pass_reference(self, X, r, s):
-        assert sc.verify_bijection(X, r, s) == reference_verify(X, r, s)
+    def test_verify_matches_two_pass_reference(self, pair, r, s):
+        for X in pair:
+            assert sc.verify_bijection(X, r, s) == reference_verify(X, r, s)
 
     @pytest.mark.parametrize("name, fault", [
         ("facet_to_vertex", merging_facet_to_vertex),
         ("facet_to_vertex", unconditional_merging_facet_to_vertex),
         ("facet_to_vertex", constant_facet_to_vertex),
         ("vertex_spec", looser_vertex_spec)])
-    @given(X=small_stackings, r=st.integers(1, 3), s=st.integers(1, 3))
+    @given(pair=both_labellings, r=st.integers(1, 3), s=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_any_disagreement_runs_the_reverse_pass(self, name, fault, X, r, s):
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, name, fault)
-            patch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
-            got = oracle.verify_bijection(X, r, s)
-            verify_calls = len(calls)
-            assert got == reference_verify(X, r, s)
-        assert verify_calls == got.left_count + (0 if got.ok else got.right_count)
+    def test_any_disagreement_runs_the_reverse_pass(self, name, fault, pair, r, s):
+        for X in pair:
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(oracle, name, fault)
+                patch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
+                got = oracle.verify_bijection(X, r, s)
+                verify_calls = len(calls)
+                assert got == reference_verify(X, r, s)
+            assert verify_calls == got.left_count + (0 if got.ok else got.right_count)
 
     def test_image_with_two_vertices_on_a_facet_does_not_round_trip(self, heptagon,
                                                                      monkeypatch):

@@ -8,9 +8,8 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import all_trees, random_stacked
 from stackedcx.oracle import enumerate_partitions, facet_spec, vertex_spec
-from stackedcx.partitions import UnionFind
 
-from conftest import cx, facet, fpart, vblocks, vpart
+from conftest import closure, cx, facet, fpart, relabelled, vblocks, vpart
 
 
 def random_facet_partition(X, rng) -> sc.Partition:
@@ -22,14 +21,6 @@ def random_facet_partition(X, rng) -> sc.Partition:
         else:
             blocks[choice].append(f)
     return sc.make_partition("facets", blocks, range(X.n_facets))
-
-
-class TestUnionFind:
-    def test_groups_are_canonical(self):
-        uf = UnionFind(5)
-        uf.union(3, 0)
-        uf.union(3, 4)
-        assert uf.groups() == [[0, 3, 4], [1], [2]]
 
 
 class TestPartitionBasics:
@@ -141,6 +132,7 @@ class TestFacetToVertex:
         X = cx("1 2 3")
         got = sc.facet_to_vertex(X, sc.make_partition("facets", [[0]]))
         assert got.blocks == ((0,), (1,), (2,))
+        assert sc.vertex_to_facet(X, got).blocks == ((0,),)
 
     def test_heptagon_round(self, heptagon):
         Q = fpart(heptagon, "2,3,4 2,5,7 | 1,2,7 2,4,5 5,6,7")
@@ -235,22 +227,20 @@ class TestGeneratorPairs:
             assert g.b in heptagon.facets[g.witness[-1]]
 
     def test_closure_of_generators_matches_map(self):
+        def check(X, Q):
+            pairs = [(g.a, g.b) for g in sc.facet_to_vertex_generators(X, Q)]
+            assert closure("vertices", X.n_vertices, pairs) == sc.facet_to_vertex(X, Q)
+
+            P = sc.facet_to_vertex(X, Q)
+            pairs = [(g.a, g.b) for g in sc.vertex_to_facet_generators(X, P)]
+            assert closure("facets", X.n_facets, pairs) == sc.vertex_to_facet(X, P)
+
         rng = random.Random(8)
         for seed in range(10):
             X = random_stacked(1 + seed % 3, 2 + seed % 5, seed)
-            Q = random_facet_partition(X, rng)
-            uf = UnionFind(X.n_vertices)
-            for g in sc.facet_to_vertex_generators(X, Q):
-                uf.union(g.a, g.b)
-            closure = sc.make_partition("vertices", uf.groups())
-            assert closure == sc.facet_to_vertex(X, Q)
-
-            P = sc.facet_to_vertex(X, Q)
-            uf = UnionFind(X.n_facets)
-            for g in sc.vertex_to_facet_generators(X, P):
-                uf.union(g.a, g.b)
-            closure = sc.make_partition("facets", uf.groups())
-            assert closure == sc.vertex_to_facet(X, P)
+            check(X, random_facet_partition(X, rng))
+            Y = relabelled(X, seed)
+            check(Y, random_facet_partition(Y, random.Random(seed)))
 
 
 def test_check_theorem_instance_examples(heptagon):

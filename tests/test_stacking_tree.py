@@ -1,9 +1,8 @@
 """Differential tests: everything read off the stacking tree against the
 slow definitions (dual-graph walks reduced by ``reduce_walk``, all-facet
-scans, and the union-find closure of the generator pairs)."""
+scans, and the closure of the generator pairs)."""
 
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +12,7 @@ import stackedcx as sc
 from stackedcx import errors, paths
 from stackedcx.generators import random_stacked
 
-from conftest import cx
-
-
-def relabelled(X, seed):
-    """X with its vertex tokens shuffled: random_stacked numbers vertices in
-    stacking order, which would hide faults that pick a vertex by its id."""
-    tokens = [X.token_of(v) for v in range(X.n_vertices)]
-    random.Random(seed).shuffle(tokens)
-    return sc.build_complex([[tokens[v] for v in f] for f in X.facet_tuples])
+from conftest import closure, cx, relabelled
 
 
 stackings = st.builds(relabelled,
@@ -66,50 +57,6 @@ def independent(X, v, w):
     return not any(v in f and w in f for f in X.facets)
 
 
-def reference_pair_table(X):
-    """Rows (i, j, v, w, bitmask of the interior facet ids, OR of the
-    interior facets' vertex masks)."""
-    table = []
-    for i, j in combinations(range(X.n_facets), 2):
-        path = reference_facet_path(X, i, j)
-        v, w = sc.end_vertices(X, path)
-        facets_between = vertices_between = 0
-        for f in path.facets[1:-1]:
-            facets_between |= 1 << f
-            vertices_between |= X.facet_masks[f]
-        table.append((i, j, v, w, facets_between, vertices_between))
-    return tuple(table)
-
-
-def reference_vertex_pair_table(X):
-    """Rows (v, w, first, last, bitmask of the interior facet ids)."""
-    table = []
-    for v, w in combinations(range(X.n_vertices), 2):
-        if independent(X, v, w):
-            facets = reference_vertex_path(X, v, w)
-            interior = sum(1 << f for f in facets[1:-1])
-            table.append((v, w, facets[0], facets[-1], interior))
-    return tuple(table)
-
-
-def closure(kind, size, pairs):
-    """The equivalence generated by the pairs, as a canonical partition."""
-    root = list(range(size))
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        root[max(ra, rb)] = min(ra, rb)
-    blocks: dict[int, list[int]] = {}
-    for e in range(size):
-        blocks.setdefault(find(e), []).append(e)
-    return sc.make_partition(kind, blocks.values(), range(size))
-
-
 def random_facet_partition(X, rng):
     blocks: list[list[int]] = []
     for f in range(X.n_facets):
@@ -140,21 +87,6 @@ def test_facet_path_is_reduced_bfs_walk(X):
     for f in range(X.n_facets):
         for g in range(X.n_facets):
             assert sc.facet_path(X, f, g) == reference_facet_path(X, f, g)
-
-
-@given(stackings)
-@settings(max_examples=25, deadline=None)
-def test_pair_tables_match_reduce_walk_reference(X):
-    table = paths._pair_table(X)
-    assert table == reference_pair_table(X)
-    # each independent vertex pair once, with its face path's ends and interior
-    by_vertices = {}
-    for i, j, v, w, facets_between, _ in table:
-        ends = (i, j) if v < w else (j, i)
-        by_vertices[min(v, w), max(v, w)] = (*ends, facets_between)
-    assert len(by_vertices) == len(table)
-    assert tuple((v, w, *by_vertices[v, w]) for v, w in sorted(by_vertices)) \
-        == reference_vertex_pair_table(X)
 
 
 @given(stackings)
@@ -208,6 +140,11 @@ def test_deep_path_has_no_recursion_limit():
     ends = X.facet_from_tokens(["1", "2"]), X.facet_from_tokens(["5000", "5001"])
     assert sc.facet_distance(X, *ends) == 4999
     assert sc.vertex_distance(X, X.id_of("1"), X.id_of("5001")) == 5000
+    # edge i joins i and i + 1; edges of one parity relate i to i + 3
+    Q = sc.make_partition("facets", [range(0, 5000, 2), range(1, 5000, 2)])
+    P = sc.facet_to_vertex(X, Q)
+    assert P == sc.make_partition("vertices", [range(k, 5001, 3) for k in range(3)])
+    assert sc.vertex_to_facet(X, P) == Q
 
 
 def test_face_path_rejects_a_face_inside_an_intersection(heptagon, monkeypatch):
