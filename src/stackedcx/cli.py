@@ -7,13 +7,13 @@ verification subcommand finds a property violation.
 import argparse
 import sys
 
-from .complexes import find_stacking_order
+from .complexes import find_stacking_order, stacking_tree
 from .errors import InputError
 from .generators import polygon_triangulations, random_stacked, tree_from_prufer
-from .natline import check_colimit_compatibility, refine_iter
+from .natline import check_colimit_compatibility, refine_iter, refine_once
 from .oracle import census, enumerate_partitions, facet_spec, vertex_spec, verify_bijection
 from .partitions import facet_to_vertex, vertex_to_facet
-from .paths import face_path, facet_path, stacking_tree
+from .paths import face_path, facet_path
 from .textio import (
     emit_complex,
     export_dot,
@@ -133,10 +133,12 @@ def cmd_census(args) -> int:
 
 def cmd_nat(args) -> int:
     P = parse_prefix_partition(_read(args.pattern), args.n)
-    result = refine_iter(P, args.steps)
+    refined = refine_once(P) if args.steps > 0 else None
+    result = (refine_iter(P, args.steps) if refined is None
+              else refine_iter(refined, args.steps - 1))
     print(format_partition_line(result))
     if P.n >= 2:
-        ok = check_colimit_compatibility(P)
+        ok = check_colimit_compatibility(P, refined=refined)
         print(f"colimit={'ok' if ok else 'FAIL'}")
         if not ok:
             return 2

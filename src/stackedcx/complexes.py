@@ -200,40 +200,69 @@ class StackingTree:
     Nodes ``0..n-1`` are the facets and nodes ``n..`` the codimension-one
     faces in ``ridges`` order; an edge joins each facet to its d + 1
     ridges.  A facet lists its ridges in ``combinations`` order and a
-    ridge its facets in ascending order.  ``order``, ``parent`` and
-    ``depth`` are the sweep from facet 0, which is its own parent.
+    ridge its facets in ascending order.
+
+    ``order`` lists the facets as the breadth-first sweep from facet 0
+    reaches them.  A reached facet c > 0 has ``up[c]``, the facet p across
+    its parent ridge, ``free[c]`` = c - p, ``port[c]`` = p - c and
+    ``depth[c]``, its facet distance from facet 0; the root's entries are
+    0.  ``walk`` is a depth-first walk of the reached facets that lists c
+    on entering and ~c on leaving it; the root is never entered.
     """
 
-    __slots__ = ("ridges", "adjacency", "order", "parent", "depth")
+    __slots__ = ("ridges", "adjacency", "order", "up", "free", "port",
+                 "depth", "walk")
 
     def __init__(self, X: SimplicialComplex):
         index = X.codim1_faces
+        n = X.n_facets
         self.ridges = tuple(index)
-        node = {ridge: r for r, ridge in enumerate(self.ridges, X.n_facets)}
+        node = {ridge: r for r, ridge in enumerate(self.ridges, n)}
         self.adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
                           for facet in X.facet_tuples]
         self.adjacency.extend(index.values())
-        self.order, self.parent, self.depth = self.sweep((0,))
 
-    def sweep(self, sources: Iterable[int]) -> tuple[list[int], list[int], list[int]]:
-        """Breadth-first search from the given nodes, all at depth 0: the
-        visiting order, each node's parent (a source is its own) and depth,
-        -1 for nodes it does not reach.  A facet's depth is twice its facet
-        distance to the nearest source facet."""
-        parent = [-1] * len(self.adjacency)
+        reached_from = [-1] * len(self.adjacency)
+        reached_from[0] = 0
+        nodes = [0]
+        for u in nodes:
+            for w in self.adjacency[u]:
+                if reached_from[w] < 0:
+                    reached_from[w] = u
+                    nodes.append(w)
+        self.order = [u for u in nodes if u < n]
+        self.up, self.free, self.port, self.depth = ([0] * n for _ in range(4))
+        children: list[list[int]] = [[] for _ in range(n)]
+        for c in self.order[1:]:
+            p = self.up[c] = reached_from[reached_from[c]]
+            (self.free[c],) = X.facets[c] - X.facets[p]
+            (self.port[c],) = X.facets[p] - X.facets[c]
+            self.depth[c] = self.depth[p] + 1
+            children[p].append(c)
+        self.walk = []
+        stack = children[0]
+        while stack:
+            c = stack.pop()
+            self.walk.append(c)
+            if c > 0:
+                stack.append(~c)
+                stack.extend(children[c])
+
+    def sweep(self, sources: Iterable[int]) -> list[int]:
+        """Breadth-first search from the given nodes, all at depth 0: each
+        node's depth, -1 for nodes it does not reach.  A facet's depth is
+        twice its facet distance to the nearest source facet."""
         depth = [-1] * len(self.adjacency)
-        order = list(sources)
-        for u in order:
-            parent[u] = u
+        nodes = list(sources)
+        for u in nodes:
             depth[u] = 0
-        for u in order:
+        for u in nodes:
             below = depth[u] + 1
             for w in self.adjacency[u]:
                 if depth[w] < 0:
-                    parent[w] = u
                     depth[w] = below
-                    order.append(w)
-        return order, parent, depth
+                    nodes.append(w)
+        return depth
 
 
 def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
@@ -243,22 +272,27 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     through codimension-one faces.  The certificate is the stacking tree's
     sweep from facet 0: each facet after the first is reached through a
     ridge of an earlier one, so it adds at most one vertex; |V| = n + d
-    forces exactly one, the facet minus that parent ridge.  The tree is
-    cached with the certificate, so it is built once per complex.
+    forces exactly one, its free vertex.  The tree is cached with the
+    certificate, so it is built once per complex.
     """
     if "stacking_order" in X._cache:
         return X._cache["stacking_order"]
     result = None
-    n = X.n_facets
-    if X.n_vertices == n + X.dim:
+    if X.n_vertices == X.n_facets + X.dim:
         tree = StackingTree(X)
-        order = [u for u in tree.order if u < n]
-        if len(order) == n:
-            free = [min(X.facets[f] - tree.ridges[tree.parent[f] - n]) for f in order[1:]]
-            result = StackingOrder(order=tuple(order), free_vertices=tuple(free))
+        if len(tree.order) == X.n_facets:
+            free = tuple(tree.free[c] for c in tree.order[1:])
+            result = StackingOrder(order=tuple(tree.order), free_vertices=free)
             X._cache["stacking_tree"] = tree
     X._cache["stacking_order"] = result
     return result
+
+
+def stacking_tree(X: SimplicialComplex) -> StackingTree:
+    """The stacking tree of X, built with its stacking certificate."""
+    if find_stacking_order(X) is None:
+        raise InputError("complex is not stacked")
+    return X._cache["stacking_tree"]
 
 
 def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:

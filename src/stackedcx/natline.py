@@ -96,14 +96,18 @@ def restrict_prefix(P: PrefixPartition, n: int) -> PrefixPartition:
     return make_prefix_partition(n, [b for b in blocks if b])
 
 
-def check_colimit_compatibility(P: PrefixPartition) -> bool:
+def check_colimit_compatibility(P: PrefixPartition, *,
+                                refined: PrefixPartition | None = None) -> bool:
     """Refining then restricting must equal restricting then refining.
 
     P is read as an edge partition of the line graph one longer than the
-    one it restricts to, so its length must be at least 2.
+    one it restricts to, so its length must be at least 2.  ``refined``
+    is ``refine_once(P)``, computed when not given.
     """
     if P.n < 2:
         raise InputError("compatibility check needs a prefix of length >= 2")
+    if refined is None:
+        refined = refine_once(P)
     shorter = refine_once(restrict_prefix(P, P.n - 1))
-    longer = restrict_prefix(refine_once(P), P.n)
+    longer = restrict_prefix(refined, P.n)
     return shorter.blocks == longer.blocks

@@ -279,8 +279,10 @@ class CensusReport:
 def census(X: SimplicialComplex) -> CensusReport:
     """Count independent vertex partitions of a stacked complex by part
     number; the counts must reproduce Stirling numbers and sum to a Bell
-    number."""
+    number.  A complex of more than ``MAX_EXACT`` facets raises
+    OutOfRangeError before anything is counted."""
     n = X.n_facets
+    _check_exact_range(n)
     rows = []
     total = 0
     for r in range(1, n + 1):

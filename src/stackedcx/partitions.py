@@ -9,27 +9,23 @@ meets.  The maps return the equivalences these relations generate;
 unrelated elements stay as singleton blocks.
 
 Both maps are one preorder pass over the stacking tree rooted at facet 0
-(:func:`_label`).  Every vertex outside the root facet first appears at
-one facet, the free vertex of that facet, so each map relates every new
-element, as it is reached, to one element seen before it: the port of
-the nearest ancestor facet in the right block.  Classes only grow, so a
-label per element holds them, and no all-pairs structure is built.
+(:func:`_label`).  They read the per-facet arrays that
+:class:`complexes.StackingTree` keeps with the certificate: the parent
+facet, the free vertex, the port and the depth-first walk.  Every vertex
+outside the root facet first appears at one facet, the free vertex of
+that facet, so each map relates every new element, as it is reached, to
+one element seen before it: the port of the nearest ancestor facet in
+the right block.  Classes only grow, so a label per element holds them,
+and no all-pairs structure is built.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
-from .paths import (
-    end_vertices,
-    face_path,
-    facet_distance,
-    facet_path,
-    stacking_tree,
-    vertex_distance,
-)
+from .paths import end_vertices, face_path, facet_distance, facet_path, vertex_distance
 
 GroundKind = Literal["vertices", "facets", "integers"]
 
@@ -136,44 +132,6 @@ def _index_cover(P: Partition, kind: GroundKind, size: int) -> list[int]:
     return block_of
 
 
-def _tree_pass(X: SimplicialComplex):
-    """The stacking tree rooted at facet 0, as the maps walk it.
-
-    Returns ``(walk, parent, free, up)``.  For each non-root facet c,
-    ``parent[c]`` is the facet p across c's parent ridge, ``free[c]`` the
-    vertex c - p and ``up[c]`` the vertex p - c; the root's entries are 0
-    and unused.  ``walk`` is a depth-first walk that lists c when it
-    enters c and ~c when it leaves it; the root is never entered.  Built
-    once per complex, without recursion.
-    """
-    cached = X._cache.get("tree_pass")
-    if cached is None:
-        tree_parent = stacking_tree(X).parent
-        facets = X.facets
-        n = X.n_facets
-        parent = [0] * n
-        free = [0] * n
-        up = [0] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        for c in range(1, n):
-            p = tree_parent[tree_parent[c]]
-            parent[c] = p
-            (free[c],) = facets[c] - facets[p]
-            (up[c],) = facets[p] - facets[c]
-            children[p].append(c)
-        walk = []
-        stack = list(children[0])
-        while stack:
-            c = stack.pop()
-            walk.append(c)
-            if c > 0:
-                stack.append(~c)
-                stack.extend(children[c])
-        cached = (walk, parent, free, up)
-        X._cache["tree_pass"] = cached
-    return cached
-
-
 def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
            lookup_key: Sequence[int], element: Sequence[int], size: int,
            n_blocks: int) -> tuple[tuple[int, ...], ...]:
@@ -191,22 +149,22 @@ def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
     appears at c, as a vertex's facets form a subtree; in v2f it is c
     itself), so classes only grow and a label per element holds them.
 
-    f2v: edge key ``block_of[p]``, edge source ``up[c]``, lookup key
+    f2v: edge key ``block_of[p]``, edge source ``port[c]``, lookup key
     ``block_of[c]``, element ``free[c]``.  Let B be c's block and a the
     nearest proper ancestor of c in B, with x its child towards c.  The
-    edge a-x is keyed B and carries up[x] = a - x; an edge keyed B below
-    it would start at a nearer B facet.  So c joins up[x]: the path a..c
-    has both ends in B, none inside, and end vertices up[x] and free[c].
+    edge a-x is keyed B and carries port[x] = a - x; an edge keyed B below
+    it would start at a nearer B facet.  So c joins port[x]: the path a..c
+    has both ends in B, none inside, and end vertices port[x] and free[c].
 
-    v2f: edge key ``block_of[up[c]]``, edge source ``p``, lookup key
+    v2f: edge key ``block_of[port[c]]``, edge source ``p``, lookup key
     ``block_of[free[c]]``, element c.  When P is independent, the nearest
     proper ancestor a of c that meets c's block C is the parent facet of
-    the first edge a-x upward from c whose up[x] lies in C.  Let u be a's
+    the first edge a-x upward from c whose port[x] lies in C.  Let u be a's
     vertex in C.  Were u in x, then x = c would hold u and free[c], which
     is not in a, two vertices of C on one facet, and a proper ancestor x
-    would meet C nearer than a; so u = up[x].  An edge keyed C below a-x
+    would meet C nearer than a; so u = port[x].  An edge keyed C below a-x
     would start at a nearer facet meeting C.  So c joins a: the path a..c
-    has end vertices up[x] and free[c] in C and no inner facet meeting C.
+    has end vertices port[x] and free[c] in C and no inner facet meeting C.
 
     Every join is thus a related pair.  Conversely, a related pair (i, j)
     with j below i is such a join.  Otherwise the path turns at a facet g
@@ -248,18 +206,18 @@ def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     for facet in X.facet_tuples:
         if len(set(map(block_of.__getitem__, facet))) != size:
             raise NotIndependentError("a block has two vertices on one facet")
-    walk, parent, free, up = _tree_pass(X)
+    tree = stacking_tree(X)
     return Partition(kind="facets", blocks=_label(
-        walk, [block_of[u] for u in up], parent, [block_of[v] for v in free],
-        range(X.n_facets), X.n_facets, len(P.blocks)))
+        tree.walk, [block_of[u] for u in tree.port], tree.up,
+        [block_of[v] for v in tree.free], range(X.n_facets), X.n_facets, len(P.blocks)))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    walk, parent, free, up = _tree_pass(X)
+    tree = stacking_tree(X)
     return Partition(kind="vertices", blocks=_label(
-        walk, [block_of[p] for p in parent], up, block_of, free,
+        tree.walk, [block_of[p] for p in tree.up], tree.port, block_of, tree.free,
         X.n_vertices, len(Q.blocks)))
 
 

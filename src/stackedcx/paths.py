@@ -4,9 +4,10 @@ On a stacked complex every pair of facets has a unique path (a walk whose
 consecutive intersections are pairwise distinct), so distances here are
 well defined.  That is because the facet-ridge incidence graph of a
 stacked complex is a tree, the *stacking tree*, which
-:func:`complexes.find_stacking_order` builds with the certificate: paths,
-distances and distance neighborhoods are read off it, and raise
-InputError on complexes that are not stacked.  Walk reduction itself
+:func:`complexes.find_stacking_order` builds with the certificate and
+roots at facet 0: paths climb its per-facet arrays, distances and
+neighborhoods are read off its sweeps, and all raise InputError on
+complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
@@ -18,7 +19,7 @@ facet lies twice its facet distance deep in a sweep from another facet.
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, StackingTree, find_stacking_order
+from .complexes import SimplicialComplex, stacking_tree
 from .errors import (
     InputError,
     NotAFaceError,
@@ -107,30 +108,27 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
     return _make_path(X, tuple(facets))
 
 
-def stacking_tree(X: SimplicialComplex) -> StackingTree:
-    """The stacking tree of X, built with its stacking certificate."""
-    if find_stacking_order(X) is None:
-        raise InputError("complex is not stacked")
-    return X._cache["stacking_tree"]
-
-
 def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
     """The unique path between two facets of a stacked complex: their path
-    in the stacking tree, whose ridge nodes are the intersections."""
+    in the stacking tree, climbed from both ends to the lowest common
+    ancestor facet p, which it skips when the last facets below p on the
+    two sides lie across one ridge of p, that is, have the same port."""
     tree = stacking_tree(X)
     n = X.n_facets
     if not (0 <= f < n and 0 <= g < n):
         raise InputError(f"facet index outside 0..{n - 1}")
-    parent, depth = tree.parent, tree.depth
-    up, down = [f], [g]
-    while up[-1] != down[-1]:  # climb to the lowest common ancestor
-        if depth[up[-1]] >= depth[down[-1]]:
-            up.append(parent[up[-1]])
+    up, depth, port = tree.up, tree.depth, tree.port
+    rise, fall = [f], [g]
+    while rise[-1] != fall[-1]:  # climb to the lowest common ancestor
+        if depth[rise[-1]] >= depth[fall[-1]]:
+            rise.append(up[rise[-1]])
         else:
-            down.append(parent[down[-1]])
-    nodes = up + down[-2::-1]
-    return FacetPath(facets=tuple(nodes[::2]),
-                     intersections=tuple(tree.ridges[r - n] for r in nodes[1::2]))
+            fall.append(up[fall[-1]])
+    if len(rise) > 1 and len(fall) > 1 and port[rise[-2]] == port[fall[-2]]:
+        rise.pop()  # children across one ridge meet in it, not at their parent
+    facets = tuple(rise + fall[-2::-1])
+    return FacetPath(facets=facets, intersections=tuple(
+        X.facets[a] & X.facets[b] for a, b in zip(facets, facets[1:])))
 
 
 def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
@@ -158,6 +156,11 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
     Defined when the pair is separated: h != k and no two facets both
     contain h and k (otherwise there is no single witness path and
     NotSeparatedError is raised).
+
+    The facet path from a facet of h to one of k is trimmed to its last
+    facet on h, at i, and the first on k after it, at j.  The intersection
+    of facets t and t + 1, i <= t < j, lies in facet t + 1, past the last
+    facet on h, and in facet t, before the first on k: it holds neither.
     """
     h = frozenset(h)
     k = frozenset(k)
@@ -184,9 +187,6 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
             if k <= X.facets[full.facets[idx]])
     trimmed = FacetPath(facets=full.facets[i:j + 1],
                         intersections=full.intersections[i:j])
-    if any(h <= g or k <= g for g in trimmed.intersections):
-        raise InputError("a face lies inside an intersection of its path "
-                         "(is the complex stacked?)")
     return FacePath(h=h, k=k, path=trimmed)
 
 
@@ -219,7 +219,7 @@ def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
         stars = X.vertex_facets
         rows = []
         for v, star in enumerate(stars):
-            depth = tree.sweep(star)[2]
+            depth = tree.sweep(star)
             row = [1 + min(map(depth.__getitem__, other)) // 2 for other in stars]
             row[v] = 0
             rows.append(tuple(row))
@@ -234,7 +234,7 @@ def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     if matrix is None:
         tree = stacking_tree(X)
         n = X.n_facets
-        matrix = tuple(tuple(d >> 1 for d in tree.sweep((f,))[2][:n])
+        matrix = tuple(tuple(d >> 1 for d in tree.sweep((f,))[:n])
                        for f in range(n))
         X._cache["facet_dist_matrix"] = matrix
     return matrix
@@ -266,6 +266,11 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     At m = 0 the facet set is empty and the vertex set is g itself.  One
     stacking-tree sweep from g's ridge node: a facet at wall distance k
     lies 2k - 1 deep, so level m holds the facets less than 2m deep.
+
+    A vertex v new at level m lies on one facet of that level.  Between
+    two such facets the tree path holds v at every node, as the facets of
+    v form a subtree.  Its node nearest g is g, or a facet or a ridge's
+    parent facet less than 2m - 2 deep, so v would not be new.
     """
     g = frozenset(g)
     if g not in X.codim1_faces:
@@ -277,7 +282,7 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
     tree = stacking_tree(X)
-    depth = tree.sweep((X.n_facets + tree.ridges.index(g),))[2]
+    depth = tree.sweep((X.n_facets + tree.ridges.index(g),))
     facets_m = tuple(f for f in range(X.n_facets) if depth[f] < 2 * m)
     vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
     if m == 1:
@@ -285,13 +290,7 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     else:
         prev_vertices = frozenset(v for f in facets_m if depth[f] < 2 * m - 2
                                   for v in X.facets[f])
-    entry: dict[int, int] = {}
-    for v in sorted(vertices_m - prev_vertices):
-        hosts = [f for f in X.vertex_facets[v] if depth[f] < 2 * m]
-        if len(hosts) != 1:
-            raise InputError(
-                f"vertex {X.token_of(v)} lies on {len(hosts)} facets at "
-                f"level {m} (is the complex stacked?)")
-        entry[v] = hosts[0]
+    entry = {v: next(f for f in X.vertex_facets[v] if depth[f] < 2 * m)
+             for v in sorted(vertices_m - prev_vertices)}
     return DistanceNeighborhood(m=m, facets=facets_m, vertices=vertices_m,
                                 entry_facets=entry)

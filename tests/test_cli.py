@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import stackedcx as sc
-from stackedcx import cli, oracle
+from stackedcx import cli, natline, oracle
 from stackedcx.oracle import BijectionReport
 from stackedcx.generators import random_stacked
 from stackedcx.textio import emit_complex, parse_complex
@@ -252,6 +253,15 @@ class TestCensus:
         assert code == 0
         assert "total=52" in out and "bell=52" in out and "failures=0" in out
 
+    def test_more_facets_than_exact_range_exits_one_at_once(self, capsys, tmp_path):
+        path = tmp_path / "big.cx"
+        path.write_text(emit_complex(random_stacked(2, 2000, 0)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "census", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "n=2000 outside supported range 0..25" in err
+
 
 class TestNat:
     def test_refine_with_colimit(self, capsys, tmp_path):
@@ -265,6 +275,24 @@ class TestNat:
         assert lines[0] == ("{1 3 5 7 9 12 14 16 18 20} {2 4 6 8 10} "
                             "{11 13 15 17 19 21}")
         assert lines[1] == "colimit=ok"
+
+    def test_one_step_refines_the_pattern_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = natline.refine_once
+
+        def counting(P):
+            calls.append(P.n)
+            return real(P)
+
+        # cli calls refine_once itself and through natline's functions
+        monkeypatch.setattr(natline, "refine_once", counting)
+        monkeypatch.setattr(cli, "refine_once", counting, raising=False)
+        pattern = tmp_path / "p.part"
+        pattern.write_text("1 3 5\n2 4\n")
+        code, out, _ = run(capsys, "nat", "--pattern", str(pattern),
+                           "-n", "5", "--steps", "1")
+        assert code == 0 and out.splitlines()[1] == "colimit=ok"
+        assert sorted(calls) == [4, 5]
 
     def test_zero_steps(self, capsys, tmp_path):
         pattern = tmp_path / "p.part"

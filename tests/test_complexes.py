@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import all_trees, random_stacked
 
-from conftest import cx, facet
+from conftest import cx, facet, relabelled
 
 
 class TestBuild:
@@ -120,6 +121,21 @@ class TestStacking:
         order = sc.find_stacking_order(X)
         assert order is not None
         assert sc.replay_stacking_order(X, order)
+
+    @given(st.integers(0, 200), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_relabelled_stackings_certify(self, seed, shuffle):
+        X = relabelled(random_stacked(1 + seed % 3, 1 + seed % 8, seed), shuffle)
+        cert = sc.find_stacking_order(X)
+        assert cert is not None
+        assert sc.replay_stacking_order(X, cert)
+        walls = {frozenset(r) for r in combinations(X.facet_tuples[cert.order[0]], X.dim)}
+        for k, f in enumerate(cert.order[1:]):
+            # a new facet meets the earlier ones in exactly the ridge it is glued on
+            ridges = [frozenset(r) for r in combinations(X.facet_tuples[f], X.dim)]
+            (glued,) = [r for r in ridges if r in walls]
+            assert X.facets[f] - glued == {cert.free_vertices[k]}
+            walls.update(ridges)
 
 
 class TestRestrict:

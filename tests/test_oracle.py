@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,13 @@ class TestCensus:
 
     def test_lines_end_with_failures(self, heptagon):
         assert sc.census(heptagon).lines()[-1] == "failures=0"
+
+    def test_more_facets_than_exact_range_raises_at_once(self):
+        X = random_stacked(2, 2000, 0)
+        start = time.perf_counter()
+        with pytest.raises(errors.OutOfRangeError, match="n=2000 outside"):
+            sc.census(X)
+        assert time.perf_counter() - start < 0.5
 
 
 # The lean verification core against test-local references: a brute force

@@ -145,17 +145,3 @@ def test_deep_path_has_no_recursion_limit():
     P = sc.facet_to_vertex(X, Q)
     assert P == sc.make_partition("vertices", [range(k, 5001, 3) for k in range(3)])
     assert sc.vertex_to_facet(X, P) == Q
-
-
-def test_face_path_rejects_a_face_inside_an_intersection(heptagon, monkeypatch):
-    # unreachable through the tree paths; the check must not be an assert
-    real = paths.facet_path
-
-    def widened(X, f, g):
-        path = real(X, f, g)
-        everything = frozenset(range(X.n_vertices))
-        return paths.FacetPath(path.facets, tuple(everything for _ in path.intersections))
-
-    monkeypatch.setattr(paths, "facet_path", widened)
-    with pytest.raises(errors.InputError, match="inside an intersection"):
-        sc.face_path(heptagon, {heptagon.id_of("3")}, {heptagon.id_of("6")})
