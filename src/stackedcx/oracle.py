@@ -3,18 +3,27 @@
 This is the verification side of the package: restricted-growth-string
 enumeration of scattered partitions, exhaustive bijection checks, and the
 Bell/Stirling identities they must reproduce.
+
+A partition of a sorted ground set is held as its restricted-growth
+string: entry i is the block of the i-th element, and blocks are numbered
+0, 1, ... in the order of their smallest element (Knuth, TAOCP 4A
+§7.2.1.5).  The string is canonical, so two partitions are equal iff their
+strings are.  :func:`enumerate_partitions` converts each string to a
+:class:`Partition`; :func:`verify_bijection` and :func:`census` work on the
+strings throughout, and the maps they call read a string as the block
+number of each facet or vertex.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .complexes import SimplicialComplex
 from .errors import InputError, NotIndependentError, OutOfRangeError
 from .partitions import (
     GroundKind,
     Partition,
-    facet_to_vertex,
-    vertex_to_facet,
+    facet_to_vertex_string,
+    vertex_to_facet_string,
 )
 from .paths import facet_distance_matrix, vertex_distance_matrix
 
@@ -84,15 +93,16 @@ def prefix_spec(n: int, parts: int, scatter: int) -> EnumerationSpec:
                            distance=lambda a, b: abs(a - b), kind="integers")
 
 
-def enumerate_partitions(spec: EnumerationSpec) -> Iterator[Partition]:
-    """Every partition of the ground set into exactly ``parts`` blocks, each
-    ``scatter``-scattered, once each, in canonical (restricted growth) order.
+def _growth_strings(spec: EnumerationSpec) -> Iterator[tuple[int, ...]]:
+    """The restricted-growth string of every partition of the sorted ground
+    set into exactly ``parts`` blocks, each ``scatter``-scattered, once
+    each, in lexicographic order.
 
-    A depth-first walk over restricted-growth strings: position i tries
-    each open block in turn and then a new one.  Scatter is pruned
-    incrementally: an element joins a block only if it keeps distance
-    >= scatter to every member already there, tested as one AND of the
-    block's member positions with the element's ``close`` mask.
+    A depth-first walk over the strings: position i tries each open block
+    in turn and then a new one.  Scatter is pruned incrementally: an
+    element joins a block only if it keeps distance >= scatter to every
+    member already there, tested as one AND of the block's member
+    positions with the element's ``close`` mask.
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
@@ -102,47 +112,59 @@ def enumerate_partitions(spec: EnumerationSpec) -> Iterator[Partition]:
     if r > n:
         return
     s = spec.scatter
-    kind = spec.kind
     close = [0] * n  # per position: the earlier positions closer than s
     if s > 1:
         dist = spec.distance
         for i, e in enumerate(ground):
             close[i] = sum(1 << j for j in range(i) if dist(ground[j], e) < s)
-    blocks: list[list[int]] = []
-    masks: list[int] = []  # member positions per open block
+    masks = [0] * r  # member positions per block
+    k = 0  # open blocks
     slot = [-1] * n  # the block position i sits in, -1 while unplaced
     i = 0
     while i >= 0:
         b = slot[i]
         if b >= 0:  # take position i out of its block
-            if len(blocks[b]) == 1:  # it opened the block, the last one
-                blocks.pop()
-                masks.pop()
-            else:
-                blocks[b].pop()
-                masks[b] ^= 1 << i
+            masks[b] ^= 1 << i
+            if not masks[b]:  # it opened the block, the last one
+                k -= 1
         b += 1
-        k = len(blocks)
         near = close[i]
         while b < k and near & masks[b]:
             b += 1
         if b < k:
-            blocks[b].append(ground[i])
             masks[b] |= 1 << i
         elif b == k < r:
-            blocks.append([ground[i]])
-            masks.append(1 << i)
+            masks[b] = 1 << i
+            k += 1
         else:  # position i is exhausted: backtrack
             slot[i] = -1
             i -= 1
             continue
         slot[i] = b
-        if n - 1 - i < r - len(blocks):
+        if n - 1 - i < r - k:
             continue  # too few positions left to open the missing blocks
         if i == n - 1:
-            yield Partition(kind=kind, blocks=tuple(map(tuple, blocks)))
+            yield tuple(slot)
         else:
             i += 1
+
+
+def _partition(kind: GroundKind, ground: Iterable[int], a: tuple[int, ...]) -> Partition:
+    """The partition of the sorted ground set whose restricted-growth
+    string is ``a``; its blocks come out canonical."""
+    blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
+    for e, b in zip(ground, a):
+        blocks[b].append(e)
+    return Partition(kind=kind, blocks=tuple(map(tuple, blocks)))
+
+
+def enumerate_partitions(spec: EnumerationSpec) -> Iterator[Partition]:
+    """Every partition of the ground set into exactly ``parts`` blocks, each
+    ``scatter``-scattered, once each, in canonical (restricted growth) order:
+    the strings of :func:`_growth_strings`, as :class:`Partition` objects."""
+    ground = sorted(spec.ground)
+    for a in _growth_strings(spec):
+        yield _partition(spec.kind, ground, a)
 
 
 @dataclass(frozen=True)
@@ -181,6 +203,12 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     partitions (r+d parts, s+1-scattered); check that the two maps are
     mutually inverse bijections between the families.
 
+    Both families are lists of restricted-growth strings, and both maps
+    run on strings (:func:`partitions.facet_to_vertex_string` and
+    :func:`partitions.vertex_to_facet_string`), so equal partitions are
+    equal tuples.  :class:`Partition` objects are built only for the
+    counterexamples.
+
     The forward pass maps every facet partition Q to the vertex family and
     back.  When no image misses the vertex family, every Q round-trips and
     the vertex family is as large as the facet family, f2v is injective
@@ -189,50 +217,62 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     facet family and maps back to it, and the reverse pass could only count
     0 mismatches and 0 round-trip failures.  It is skipped then, and run in
     every other case, so a failing report keeps its exact counts and
-    counterexamples.  An image that is not a partition into independent
-    sets does not round-trip.  Counterexamples are (reason, partition)
-    pairs, at most three.  A complex of more than ``MAX_EXACT`` facets
-    raises OutOfRangeError before anything is enumerated.
+    counterexamples.
+
+    v2f needs independent blocks.  A member of a vertex family whose
+    scatter is at least 2 (here s + 1 >= 2) has them: two vertices of one
+    facet are at distance 1, so no block holds both.  v2f therefore skips
+    its independence test on members of the vertex family, the reverse
+    pass's partitions and the forward images found in that family, and
+    runs it on any other image; an image that is not a partition into
+    independent sets does not round-trip.  Counterexamples are (reason,
+    partition) pairs, at most three.  A complex of more than
+    ``MAX_EXACT`` facets raises OutOfRangeError before anything is
+    enumerated.
     """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
     _check_exact_range(X.n_facets)
-    left = list(enumerate_partitions(facet_spec(X, r, s)))
-    right = list(enumerate_partitions(vertex_spec(X, r + X.dim, s + 1)))
+    left = list(_growth_strings(facet_spec(X, r, s)))
+    vertex_family = vertex_spec(X, r + X.dim, s + 1)
+    right = list(_growth_strings(vertex_family))
     left_set = set(left)
     right_set = set(right)
+    independent = vertex_family.scatter >= 2
 
     round_trips = 0
     mismatches = 0
     examples: list[tuple[str, Partition]] = []
 
-    def note(reason: str, P: Partition) -> None:
+    def note(reason: str, kind: GroundKind, a: tuple[int, ...]) -> None:
         if len(examples) < 3:
-            examples.append((reason, P))
+            examples.append((reason, _partition(kind, range(len(a)), a)))
 
-    forward: dict[Partition, Partition] = {}
-    for Q in left:
-        image = facet_to_vertex(X, Q)
-        forward[Q] = image
-        if image not in right_set:
+    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in left:
+        image = facet_to_vertex_string(X, a)
+        forward[a] = image
+        member = image in right_set
+        if not member:
             mismatches += 1
-            note("facet partition whose image is not in the vertex family", Q)
+            note("facet partition whose image is not in the vertex family", "facets", a)
         try:
-            back = vertex_to_facet(X, image)
+            back = vertex_to_facet_string(X, image, independent=member and independent)
         except NotIndependentError:  # a faulty image with two vertices on a facet
             back = None
-        if back != Q:
+        if back != a:
             round_trips += 1
-            note("facet partition that does not round-trip", Q)
+            note("facet partition that does not round-trip", "facets", a)
     if mismatches or round_trips or len(right_set) != len(left):
-        for P in right:
-            preimage = vertex_to_facet(X, P)
+        for b in right:
+            preimage = vertex_to_facet_string(X, b, independent=independent)
             if preimage not in left_set:
                 mismatches += 1
-                note("vertex partition whose image is not in the facet family", P)
-            elif forward[preimage] != P:
+                note("vertex partition whose image is not in the facet family",
+                     "vertices", b)
+            elif forward[preimage] != b:
                 round_trips += 1
-                note("vertex partition that does not round-trip", P)
+                note("vertex partition that does not round-trip", "vertices", b)
 
     return BijectionReport(parts=r, scatter=s, dim=X.dim,
                            left_count=len(left), right_count=len(right),
@@ -286,7 +326,7 @@ def census(X: SimplicialComplex) -> CensusReport:
     rows = []
     total = 0
     for r in range(1, n + 1):
-        count = sum(1 for _ in enumerate_partitions(vertex_spec(X, r + X.dim, 2)))
+        count = sum(1 for _ in _growth_strings(vertex_spec(X, r + X.dim, 2)))
         rows.append(CensusRow(parts=r, vertex_parts=r + X.dim, count=count,
                               expected=stirling2(n, r)))
         total += count

@@ -17,10 +17,18 @@ that facet, so each map relates every new element, as it is reached, to
 one element seen before it: the port of the nearest ancestor facet in
 the right block.  Classes only grow, so a label per element holds them,
 and no all-pairs structure is built.
+
+The label array has two finishes.  The public maps validate their
+:class:`Partition` and group the labels into canonical blocks.  The
+string maps, which :func:`oracle.verify_bijection` runs, take and return
+restricted-growth strings (entry e is the block number of element e,
+blocks numbered in the order of their smallest element) and renumber the
+labels into one.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import eq
 from typing import Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex, stacking_tree
@@ -134,9 +142,10 @@ def _index_cover(P: Partition, kind: GroundKind, size: int) -> list[int]:
 
 def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
            lookup_key: Sequence[int], element: Sequence[int], size: int,
-           n_blocks: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical blocks of the equivalence one tree walk builds over
-    ``size`` elements: both maps, which differ only in their arguments.
+           n_blocks: int) -> list[int]:
+    """Each of ``size`` elements labelled by its class in the equivalence
+    one tree walk builds: both maps, which differ only in their arguments.
+    Two elements share a class iff they share a label.
 
     Entering a non-root facet c, with parent p, first crosses the edge
     p-c: ``cur[edge_key[c]]`` is saved and set to the label of
@@ -189,6 +198,11 @@ def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
             cur[k] = element[c]
         else:
             label[element[c]] = cur[k]
+    return label
+
+
+def _blocks(label: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The classes of a label array as canonical blocks."""
     blocks: dict[int, list[int]] = {}
     for e, root in enumerate(label):
         if root in blocks:
@@ -198,27 +212,89 @@ def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
     return tuple(map(tuple, blocks.values()))
 
 
+def _growth_string(label: list[int]) -> tuple[int, ...]:
+    """The classes of a label array as a restricted-growth string: classes
+    numbered 0, 1, ... in the order of their smallest element."""
+    first: dict[int, int] = {}
+    return tuple([first.setdefault(x, len(first)) for x in label])
+
+
+def _vertex_label(X: SimplicialComplex, block_of: Sequence[int],
+                  n_blocks: int) -> list[int]:
+    """The vertex classes :func:`facet_to_vertex` builds from each facet's
+    block number."""
+    tree = stacking_tree(X)
+    return _label(tree.walk, list(map(block_of.__getitem__, tree.up)), tree.port,
+                  block_of, tree.free, X.n_vertices, n_blocks)
+
+
+def _facet_label(X: SimplicialComplex, block_of: Sequence[int],
+                 n_blocks: int) -> list[int]:
+    """The facet classes :func:`vertex_to_facet` builds from each vertex's
+    block number, which must put no two vertices of a facet in one block."""
+    tree = stacking_tree(X)
+    get = block_of.__getitem__
+    return _label(tree.walk, list(map(get, tree.port)), tree.up,
+                  list(map(get, tree.free)), range(X.n_facets), X.n_facets, n_blocks)
+
+
+def _edge_ends(X: SimplicialComplex) -> tuple[list[int], list[int]]:
+    """The edges of a stacked complex as two endpoint arrays: the pairs of
+    facet 0, then (free[c], u) for each other vertex u of each other facet
+    c.  A pair of c's vertices that avoids free[c] lies in c's parent
+    ridge, so in its parent facet, and is listed higher up the tree."""
+    ends = X._cache.get("edge_ends")
+    if ends is None:
+        tree = stacking_tree(X)
+        tails, heads = (list(e) for e in zip(*combinations(X.facet_tuples[0], 2)))
+        for c in tree.order[1:]:
+            v = tree.free[c]
+            for u in X.facet_tuples[c]:
+                if u != v:
+                    tails.append(v)
+                    heads.append(u)
+        ends = X._cache["edge_ends"] = (tails, heads)
+    return ends
+
+
+def _check_independent(X: SimplicialComplex, block_of: Sequence[int]) -> None:
+    """Raise unless every block is independent: two vertices of one facet
+    are the ends of an edge, so no edge may have both ends in one block."""
+    tails, heads = _edge_ends(X)
+    get = block_of.__getitem__
+    if any(map(eq, map(get, tails), map(get, heads))):
+        raise NotIndependentError("a block has two vertices on one facet")
+
+
 def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     """Map a partition of vertices into independent blocks to the induced
     facet partition."""
     block_of = _index_cover(P, "vertices", X.n_vertices)
-    size = X.dim + 1
-    for facet in X.facet_tuples:
-        if len(set(map(block_of.__getitem__, facet))) != size:
-            raise NotIndependentError("a block has two vertices on one facet")
-    tree = stacking_tree(X)
-    return Partition(kind="facets", blocks=_label(
-        tree.walk, [block_of[u] for u in tree.port], tree.up,
-        [block_of[v] for v in tree.free], range(X.n_facets), X.n_facets, len(P.blocks)))
+    _check_independent(X, block_of)
+    return Partition(kind="facets", blocks=_blocks(_facet_label(X, block_of, len(P.blocks))))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    tree = stacking_tree(X)
-    return Partition(kind="vertices", blocks=_label(
-        tree.walk, [block_of[p] for p in tree.up], tree.port, block_of, tree.free,
-        X.n_vertices, len(Q.blocks)))
+    return Partition(kind="vertices", blocks=_blocks(_vertex_label(X, block_of, len(Q.blocks))))
+
+
+def facet_to_vertex_string(X: SimplicialComplex, a: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`facet_to_vertex` on restricted-growth strings: ``a[f]`` is
+    the block of facet f, and the result's entry v is the block of vertex
+    v.  The string is trusted, not validated."""
+    return _growth_string(_vertex_label(X, a, max(a) + 1))
+
+
+def vertex_to_facet_string(X: SimplicialComplex, a: tuple[int, ...], *,
+                           independent: bool = False) -> tuple[int, ...]:
+    """:func:`vertex_to_facet` on restricted-growth strings, as
+    :func:`facet_to_vertex_string`.  The independence test is skipped when
+    the caller knows every block to be independent."""
+    if not independent:
+        _check_independent(X, a)
+    return _growth_string(_facet_label(X, a, max(a) + 1))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import stackedcx as sc
+from stackedcx import oracle
 from stackedcx.partitions import (
     facet_blocks_tokens,
     facet_partition_from_tokens,
@@ -59,6 +60,48 @@ def unconditional_merging_facet_to_vertex(X, Q) -> sc.Partition:
     merged, even when the union has two vertices on one facet."""
     P = sc.facet_to_vertex(X, Q)
     return sc.make_partition("vertices", [P.blocks[0] + P.blocks[1], *P.blocks[2:]])
+
+
+def growth_string(P, size):
+    """The restricted-growth string of a canonical partition of
+    range(size): entry e is the number of e's block."""
+    a = [-1] * size
+    for b, block in enumerate(P.blocks):
+        for e in block:
+            a[e] = b
+    return tuple(a)
+
+
+def string_partition(kind, a):
+    """The canonical partition whose restricted-growth string is a."""
+    blocks = [[] for _ in range(max(a) + 1)]
+    for e, b in enumerate(a):
+        blocks[b].append(e)
+    return sc.Partition(kind, tuple(map(tuple, blocks)))
+
+
+# each Partition-level map, as the string map oracle.verify_bijection calls
+# in its place, with the kinds of its argument and result
+STRING_MAPS = {"facet_to_vertex": ("facet_to_vertex_string", "facets", "vertices"),
+               "vertex_to_facet": ("vertex_to_facet_string", "vertices", "facets")}
+
+
+def inject(patch, name, fault):
+    """Install a fault where oracle.verify_bijection will call it.  A fault
+    on facet_to_vertex or vertex_to_facet, written over Partition objects,
+    replaces the restricted-growth string map oracle binds in its place:
+    the string is turned into a Partition, the fault runs on it, and its
+    result is turned back.  Any other fault (a spec) replaces ``name``."""
+    if name not in STRING_MAPS:
+        patch.setattr(oracle, name, fault)
+        return
+    string_name, kind, image_kind = STRING_MAPS[name]
+
+    def on_strings(X, a, **_):
+        image = fault(X, string_partition(kind, a))
+        return growth_string(image, X.n_vertices if image_kind == "vertices"
+                             else X.n_facets)
+    patch.setattr(oracle, string_name, on_strings)
 
 
 def relabelled(X, seed):

@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 import stackedcx as sc
-from stackedcx import cli, natline, oracle
+from stackedcx import cli, natline
 from stackedcx.oracle import BijectionReport
 from stackedcx.generators import random_stacked
 from stackedcx.textio import emit_complex, parse_complex
 
 from conftest import (
     HEPTAGON_FACETS,
+    inject,
     merging_facet_to_vertex,
     unconditional_merging_facet_to_vertex,
 )
@@ -207,7 +208,7 @@ class TestVerify:
                                                      monkeypatch):
         code, clean_out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
         assert code == 0 and err == ""
-        monkeypatch.setattr(oracle, "facet_to_vertex", merging_facet_to_vertex)
+        inject(monkeypatch, "facet_to_vertex", merging_facet_to_vertex)
         code, out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
         assert code == 2
         assert [line.split("=")[0] for line in out.splitlines()] == \
@@ -227,8 +228,7 @@ class TestVerify:
 
     def test_image_with_two_vertices_on_a_facet_exits_two(self, capsys, heptagon_file,
                                                           monkeypatch):
-        monkeypatch.setattr(oracle, "facet_to_vertex",
-                            unconditional_merging_facet_to_vertex)
+        inject(monkeypatch, "facet_to_vertex", unconditional_merging_facet_to_vertex)
         code, out, err = run(capsys, "verify", heptagon_file, "-r", "2", "-s", "1")
         assert code == 2
         assert out == ("leftCount=15\nrightCount=15\n"

@@ -22,6 +22,7 @@ from stackedcx.oracle import (
 
 from conftest import (
     cx,
+    inject,
     merging_facet_to_vertex,
     relabelled,
     unconditional_merging_facet_to_vertex,
@@ -247,17 +248,22 @@ def restricted_growth_strings(n, max_blocks):
     return strings
 
 
+def reference_strings(spec):
+    """The restricted-growth strings with exactly ``parts`` blocks whose
+    same-block pairs are all >= scatter apart."""
+    ground = sorted(spec.ground)
+    return [a for a in restricted_growth_strings(len(ground), spec.parts)
+            if max(a, default=-1) + 1 == spec.parts
+            and not any(a[i] == a[j]
+                        and spec.distance(ground[i], ground[j]) < spec.scatter
+                        for j in range(len(a)) for i in range(j))]
+
+
 def reference_enumeration(spec):
-    """The partitions of restricted-growth strings with exactly ``parts``
-    blocks whose same-block pairs are all >= scatter apart."""
+    """The partitions of :func:`reference_strings`."""
     ground = sorted(spec.ground)
     out = []
-    for a in restricted_growth_strings(len(ground), spec.parts):
-        if max(a, default=-1) + 1 != spec.parts:
-            continue
-        if any(a[i] == a[j] and spec.distance(ground[i], ground[j]) < spec.scatter
-               for j in range(len(a)) for i in range(j)):
-            continue
+    for a in reference_strings(spec):
         blocks = [[] for _ in range(spec.parts)]
         for e, b in zip(ground, a):
             blocks[b].append(e)
@@ -265,30 +271,32 @@ def reference_enumeration(spec):
     return out
 
 
-def reference_verify(X, r, s):
-    """Both passes, always, through the specs and maps bound in ``oracle``."""
-    left = list(enumerate_partitions(oracle.facet_spec(X, r, s)))
-    right = list(enumerate_partitions(oracle.vertex_spec(X, r + X.dim, s + 1)))
+def reference_verify(X, r, s, facet_to_vertex=sc.facet_to_vertex,
+                     vertex_to_facet=sc.vertex_to_facet, vertex_spec=vertex_spec):
+    """Both passes, always, over Partition objects, through the given maps
+    and vertex family: the true ones unless a fault is passed in."""
+    left = list(enumerate_partitions(facet_spec(X, r, s)))
+    right = list(enumerate_partitions(vertex_spec(X, r + X.dim, s + 1)))
     left_set, right_set = set(left), set(right)
     round_trips = mismatches = 0
     examples = []
     forward = {}
     for Q in left:
-        image = oracle.facet_to_vertex(X, Q)
+        image = facet_to_vertex(X, Q)
         forward[Q] = image
         if image not in right_set:
             mismatches += 1
             examples.append(("facet partition whose image is not in the "
                              "vertex family", Q))
         try:
-            back = oracle.vertex_to_facet(X, image)
+            back = vertex_to_facet(X, image)
         except errors.NotIndependentError:
             back = None
         if back != Q:
             round_trips += 1
             examples.append(("facet partition that does not round-trip", Q))
     for P in right:
-        preimage = oracle.vertex_to_facet(X, P)
+        preimage = vertex_to_facet(X, P)
         if preimage not in left_set:
             mismatches += 1
             examples.append(("vertex partition whose image is not in the "
@@ -343,6 +351,23 @@ class TestLeanCore:
                 spec = prefix_spec(X.n_vertices, r, s)
             assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
 
+    @given(both_labellings, st.sampled_from(("facets", "vertices", "integers")),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_growth_strings_match_brute_force_and_enumeration(self, pair, kind, r, s):
+        for X in pair:
+            if kind == "facets":
+                spec = facet_spec(X, r, s)
+            elif kind == "vertices":
+                spec = vertex_spec(X, r, s)
+            else:
+                spec = prefix_spec(X.n_vertices, r, s)
+            strings = list(oracle._growth_strings(spec))
+            assert strings == reference_strings(spec)
+            ground = sorted(spec.ground)
+            assert [tuple(tuple(e for e, b in zip(ground, a) if b == k) for k in range(r))
+                    for a in strings] == [P.blocks for P in enumerate_partitions(spec)]
+
     @given(both_labellings, st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_verify_matches_two_pass_reference(self, pair, r, s):
@@ -360,17 +385,15 @@ class TestLeanCore:
         for X in pair:
             calls = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(oracle, name, fault)
-                patch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
+                inject(patch, name, fault)
+                inject(patch, "vertex_to_facet", counting_vertex_to_facet(calls))
                 got = oracle.verify_bijection(X, r, s)
-                verify_calls = len(calls)
-                assert got == reference_verify(X, r, s)
-            assert verify_calls == got.left_count + (0 if got.ok else got.right_count)
+            assert got == reference_verify(X, r, s, **{name: fault})
+            assert len(calls) == got.left_count + (0 if got.ok else got.right_count)
 
     def test_image_with_two_vertices_on_a_facet_does_not_round_trip(self, heptagon,
                                                                      monkeypatch):
-        monkeypatch.setattr(oracle, "facet_to_vertex",
-                            unconditional_merging_facet_to_vertex)
+        inject(monkeypatch, "facet_to_vertex", unconditional_merging_facet_to_vertex)
         report = oracle.verify_bijection(heptagon, 2, 1)
         assert (report.left_count, report.right_count) == (15, 15)
         assert report.image_mismatches == 15
@@ -380,6 +403,23 @@ class TestLeanCore:
 
     def test_passing_instance_skips_the_reverse_pass(self, heptagon, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "vertex_to_facet", counting_vertex_to_facet(calls))
+        inject(monkeypatch, "vertex_to_facet", counting_vertex_to_facet(calls))
         report = oracle.verify_bijection(heptagon, 2, 1)
         assert report.ok and len(calls) == report.left_count == 15
+
+    def test_partitions_are_built_only_for_counterexamples(self, heptagon,
+                                                           monkeypatch):
+        built = []
+        init = sc.Partition.__init__
+
+        def counting_init(self, kind, blocks):
+            built.append(blocks)
+            init(self, kind, blocks)
+
+        monkeypatch.setattr(sc.Partition, "__init__", counting_init)
+        assert oracle.verify_bijection(heptagon, 2, 1).ok
+        assert built == []
+        inject(monkeypatch, "vertex_spec", looser_vertex_spec)
+        report = oracle.verify_bijection(heptagon, 2, 2)
+        assert (report.image_mismatches, len(report.counterexamples)) == (14, 3)
+        assert built == [P.blocks for _, P in report.counterexamples]

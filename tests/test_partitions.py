@@ -8,8 +8,19 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import all_trees, random_stacked
 from stackedcx.oracle import enumerate_partitions, facet_spec, vertex_spec
+from stackedcx.partitions import facet_to_vertex_string, vertex_to_facet_string
 
-from conftest import closure, cx, facet, fpart, relabelled, vblocks, vpart
+from conftest import (
+    closure,
+    cx,
+    facet,
+    fpart,
+    growth_string,
+    relabelled,
+    string_partition,
+    vblocks,
+    vpart,
+)
 
 
 def random_facet_partition(X, rng) -> sc.Partition:
@@ -21,6 +32,15 @@ def random_facet_partition(X, rng) -> sc.Partition:
         else:
             blocks[choice].append(f)
     return sc.make_partition("facets", blocks, range(X.n_facets))
+
+
+def both_labellings(count):
+    """Seeded stackings, d = 1..3 and n = 1..8, each as generated and with
+    its tokens shuffled."""
+    for seed in range(count):
+        X = random_stacked(1 + seed % 3, 1 + seed % 8, 500 + seed)
+        yield X
+        yield relabelled(X, seed)
 
 
 class TestPartitionBasics:
@@ -241,6 +261,52 @@ class TestGeneratorPairs:
             check(X, random_facet_partition(X, rng))
             Y = relabelled(X, seed)
             check(Y, random_facet_partition(Y, random.Random(seed)))
+
+
+class TestStringMaps:
+    """The restricted-growth string maps that verify_bijection runs."""
+
+    def test_match_public_maps_and_generator_closure(self):
+        rng = random.Random(11)
+        for X in both_labellings(40):
+            Q = random_facet_partition(X, rng)
+            P = sc.facet_to_vertex(X, Q)
+            image = facet_to_vertex_string(X, growth_string(Q, X.n_facets))
+            assert image == growth_string(P, X.n_vertices)
+            pairs = [(g.a, g.b) for g in sc.facet_to_vertex_generators(X, Q)]
+            assert string_partition("vertices", image) == \
+                closure("vertices", X.n_vertices, pairs)
+
+            back = vertex_to_facet_string(X, image)
+            assert back == vertex_to_facet_string(X, image, independent=True)
+            assert back == growth_string(sc.vertex_to_facet(X, P), X.n_facets)
+            pairs = [(g.a, g.b) for g in sc.vertex_to_facet_generators(X, P)]
+            assert string_partition("facets", back) == \
+                closure("facets", X.n_facets, pairs)
+
+    def test_edge_test_matches_facet_test(self):
+        # random vertex partitions into few blocks, most of them not independent
+        rng = random.Random(12)
+        dependent = 0
+        for X in both_labellings(40):
+            for _ in range(10):
+                parts = rng.randint(X.dim + 1, X.dim + 3)
+                labels = [rng.randrange(parts) for _ in range(X.n_vertices)]
+                P = sc.make_partition(
+                    "vertices", [[v for v, b in enumerate(labels) if b == k]
+                                 for k in set(labels)], range(X.n_vertices))
+                a = growth_string(P, X.n_vertices)
+                expected = any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
+                dependent += expected
+                for check in (lambda: sc.vertex_to_facet(X, P),
+                              lambda: vertex_to_facet_string(X, a)):
+                    if expected:
+                        with pytest.raises(errors.NotIndependentError) as info:
+                            check()
+                        assert str(info.value) == "a block has two vertices on one facet"
+                    else:
+                        check()
+        assert 400 < dependent < 800
 
 
 def test_check_theorem_instance_examples(heptagon):
