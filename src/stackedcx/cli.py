@@ -15,6 +15,7 @@ from .oracle import census, enumerate_partitions, facet_spec, vertex_spec, verif
 from .partitions import facet_to_vertex, vertex_to_facet
 from .paths import face_path, facet_path
 from .textio import (
+    _content_lines,
     emit_complex,
     export_dot,
     facet_token,
@@ -194,11 +195,8 @@ def cmd_dot(args) -> int:
         text = _read(args.partition)
         kind = args.kind
         if kind == "auto":
-            body = [tok for line in text.splitlines()
-                    if line.strip() and not line.strip().startswith("#")
-                    for tok in line.split()]
-            kind = "facets" if (X.dim > 1 or any("," in t for t in body)) \
-                else "vertices"
+            commas = any("," in tok for _, tokens in _content_lines(text) for tok in tokens)
+            kind = "facets" if X.dim > 1 or commas else "vertices"
         if kind == "vertices":
             partition = parse_vertex_partition(text, X)
         else:

@@ -86,7 +86,11 @@ class SimplicialComplex:
             raise InputError(f"no facet with vertex ids {sorted(vertices)}") from None
 
     def facet_from_tokens(self, tokens: Iterable[str]) -> int:
-        return self.facet_index(frozenset(self.id_of(t) for t in tokens))
+        tokens = list(tokens)
+        vertices = frozenset(map(self.id_of, tokens))
+        if len(vertices) != len(tokens):
+            raise DuplicateVertexError(f"repeated vertex in facet {','.join(tokens)!r}")
+        return self.facet_index(vertices)
 
     @property
     def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:

@@ -42,9 +42,6 @@ def all_trees(v: int) -> Iterator[SimplicialComplex]:
         raise InputError("trees need at least two vertices")
     if v > TREE_VERTEX_CAP:
         raise InputError(f"tree enumeration capped at {TREE_VERTEX_CAP} vertices")
-    if v == 2:
-        yield build_complex([("1", "2")])
-        return
     for seq in product(range(1, v + 1), repeat=v - 2):
         yield tree_from_prufer(seq, v)
 

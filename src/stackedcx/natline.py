@@ -5,14 +5,15 @@ segments of the positive integers: edge i joins vertices i and i+1.  Under
 this identification a partition of [1..n] (read as edges of L_n) refines to
 a partition of [1..n+1] (read as vertices) with one more block and scatter
 one higher, and the refinement is compatible with growing the prefix.
+Prefix partitions are validated by :func:`partitions.make_partition`.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex, build_complex
-from .errors import InputError, NotAPartitionError
-from .partitions import Partition, facet_to_vertex
+from .errors import InputError
+from .partitions import Partition, facet_to_vertex, make_partition
 
 
 @dataclass(frozen=True)
@@ -36,26 +37,11 @@ class PrefixPartition:
 
 def make_prefix_partition(n: int,
                           blocks: Iterable[Iterable[int]]) -> PrefixPartition:
+    """Blocks that partition [1..n], canonicalized by :func:`make_partition`."""
     if n < 1:
         raise InputError("prefix length must be >= 1")
-    cleaned = []
-    seen: set[int] = set()
-    for block in blocks:
-        items = sorted(block)
-        if not items:
-            raise NotAPartitionError("empty block")
-        for e in items:
-            if not 1 <= e <= n:
-                raise NotAPartitionError(f"{e} outside [1..{n}]")
-            if e in seen:
-                raise NotAPartitionError(f"{e} in two blocks")
-            seen.add(e)
-        cleaned.append(tuple(items))
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise NotAPartitionError(f"not covered: {missing}")
-    cleaned.sort(key=lambda b: b[0])
-    return PrefixPartition(n=n, blocks=tuple(cleaned))
+    P = make_partition("integers", blocks, range(1, n + 1))
+    return PrefixPartition(n=n, blocks=P.blocks)
 
 
 def line_graph(n: int) -> SimplicialComplex:

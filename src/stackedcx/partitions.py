@@ -1,5 +1,9 @@
 """Partitions of vertices or facets and the maps between them.
 
+A :class:`Partition` is a plain value over dense ids with one validator,
+:func:`make_partition`, which :mod:`natline` also uses for [1..n].  Tokens
+become ids and back only in :mod:`textio`.
+
 The two correspondences work pair by pair.  Facet partition -> vertex
 partition: two independent vertices are related when the end facets of
 their face path share a block that no interior facet of the path touches.
@@ -38,6 +42,7 @@ from .paths import end_vertices, face_path, facet_distance, facet_path, vertex_d
 GroundKind = Literal["vertices", "facets", "integers"]
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Disjoint non-empty blocks covering a ground set of dense ints.
 
@@ -46,12 +51,8 @@ class Partition:
     constructor trusts its input.  Immutable and hashable.
     """
 
-    __slots__ = ("kind", "blocks", "_hash")
-
-    def __init__(self, kind: GroundKind, blocks: tuple[tuple[int, ...], ...]):
-        self.kind = kind
-        self.blocks = blocks
-        self._hash = hash((kind, blocks))
+    kind: GroundKind
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def n_blocks(self) -> int:
@@ -59,17 +60,6 @@ class Partition:
 
     def elements(self) -> list[int]:
         return sorted(e for block in self.blocks for e in block)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.kind == other.kind and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Partition(kind={self.kind!r}, blocks={self.blocks!r})"
 
 
 def make_partition(kind: GroundKind, blocks: Iterable[Iterable[int]],
@@ -89,8 +79,9 @@ def make_partition(kind: GroundKind, blocks: Iterable[Iterable[int]],
     if not cleaned:
         raise NotAPartitionError("no blocks")
     if ground is not None:
-        missing = set(ground) - seen
-        extra = seen - set(ground)
+        ground = set(ground)
+        missing = ground - seen
+        extra = seen - ground
         if missing:
             raise NotAPartitionError(f"elements not covered: {sorted(missing)}")
         if extra:
@@ -339,33 +330,3 @@ def facet_to_vertex_generators(X: SimplicialComplex,
             continue
         out.append(GeneratorPair(a=v, b=w, witness=fp.facets))
     return out
-
-
-def vertex_partition_from_tokens(
-        X: SimplicialComplex,
-        token_blocks: Iterable[Iterable[str]]) -> Partition:
-    blocks = [[X.id_of(tok) for tok in block] for block in token_blocks]
-    return make_partition("vertices", blocks, range(X.n_vertices))
-
-
-def facet_partition_from_tokens(
-        X: SimplicialComplex,
-        token_blocks: Iterable[Iterable[Iterable[str]]]) -> Partition:
-    """Blocks of facets, each facet given by its vertex tokens."""
-    blocks = [[X.facet_from_tokens(facet) for facet in block]
-              for block in token_blocks]
-    return make_partition("facets", blocks, range(X.n_facets))
-
-
-def vertex_blocks_tokens(X: SimplicialComplex,
-                         P: Partition) -> frozenset[frozenset[str]]:
-    """Label-level view of a vertex partition, for comparisons across
-    complexes with shared tokens."""
-    return frozenset(frozenset(X.token_of(v) for v in block)
-                     for block in P.blocks)
-
-
-def facet_blocks_tokens(X: SimplicialComplex,
-                        Q: Partition) -> frozenset[frozenset[tuple[str, ...]]]:
-    return frozenset(frozenset(X.facet_tokens(f) for f in block)
-                     for block in Q.blocks)

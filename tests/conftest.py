@@ -4,12 +4,7 @@ import pytest
 
 import stackedcx as sc
 from stackedcx import oracle
-from stackedcx.partitions import (
-    facet_blocks_tokens,
-    facet_partition_from_tokens,
-    vertex_blocks_tokens,
-    vertex_partition_from_tokens,
-)
+from stackedcx.textio import parse_facet_partition, parse_vertex_partition
 
 HEPTAGON_FACETS = ("2 3 4", "2 4 5", "2 5 7", "5 6 7", "1 2 7")
 
@@ -21,23 +16,20 @@ def cx(*facets: str) -> sc.SimplicialComplex:
 
 def vpart(X, spec: str) -> sc.Partition:
     """Vertex partition from a 'a b | c' style string."""
-    return vertex_partition_from_tokens(
-        X, [block.split() for block in spec.split("|")])
+    return parse_vertex_partition(spec.replace("|", "\n"), X)
 
 
 def fpart(X, spec: str) -> sc.Partition:
     """Facet partition from a '1,2 2,3 | 3,4' style string."""
-    blocks = [[tok.split(",") for tok in block.split()]
-              for block in spec.split("|")]
-    return facet_partition_from_tokens(X, blocks)
+    return parse_facet_partition(spec.replace("|", "\n"), X)
 
 
 def vblocks(X, P) -> set[frozenset[str]]:
-    return set(vertex_blocks_tokens(X, P))
+    return {frozenset(X.token_of(v) for v in block) for block in P.blocks}
 
 
 def fblocks(X, Q) -> set[frozenset[tuple[str, ...]]]:
-    return set(facet_blocks_tokens(X, Q))
+    return {frozenset(X.facet_tokens(f) for f in block) for block in Q.blocks}
 
 
 def merging_facet_to_vertex(X, Q) -> sc.Partition:

@@ -150,6 +150,14 @@ class TestPath:
         assert code == 0
         assert out.splitlines() == ["path: 2 | 2,3,4 | 3", "distance: 1"]
 
+    def test_facet_with_repeated_vertex_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "path.cx"
+        path.write_text("1 2\n2 3\n3 4\n")
+        code, out, err = run(capsys, "path", str(path), "--facets", "1,1,2", "4,3")
+        assert code == 1 and out == "" and "repeated vertex" in err
+        code, out, _ = run(capsys, "path", str(path), "--facets", "2,1", "4,3")
+        assert code == 0 and out.splitlines()[-1] == "distance: 2"
+
 
 class TestMap:
     def test_f2v_figure_line(self, capsys, fig1a):
@@ -165,6 +173,15 @@ class TestMap:
         code, out, _ = run(capsys, "map", "v2f", cx, str(vfile))
         assert code == 0
         assert out.strip() == "{1,2 2,3 5,6} {3,4 4,5}"
+
+    def test_facet_with_repeated_vertex_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "path.cx"
+        path.write_text("1 2\n2 3\n3 4\n")
+        part = tmp_path / "p.part"
+        part.write_text("1,2,1 3,4\n2,3\n")
+        code, out, err = run(capsys, "map", "f2v", str(path), str(part))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1: ") and "'1,2,1'" in err
 
     def test_rejects_not_stacked(self, capsys, tmp_path):
         bad = tmp_path / "cycle.cx"

@@ -59,6 +59,13 @@ class TestBuild:
         with pytest.raises(errors.InputError):
             heptagon.facet_from_tokens(["1", "3", "5"])
 
+    def test_facet_lookup_rejects_repeated_token(self):
+        X = cx("1 2", "2 3", "3 4")
+        assert X.facet_from_tokens(["2", "1"]) == facet(X, "1,2")
+        for tokens in (["1", "1", "2"], ["1", "2", "1"], ["1", "1"]):
+            with pytest.raises(errors.InputError, match="repeated vertex"):
+                X.facet_from_tokens(tokens)
+
 
 class TestStacking:
     def test_single_facet(self):

@@ -70,6 +70,17 @@ class TestPartitionBasics:
         assert sc.restrict_partition(P, [1, 2, 3]) == P
         assert sc.restrict_partition(P, []).blocks == ()
 
+    def test_value_semantics(self):
+        P = sc.make_partition("facets", [[2, 0], [1]])
+        assert repr(P) == "Partition(kind='facets', blocks=((0, 2), (1,)))"
+        assert hash(P) == hash((P.kind, P.blocks))
+        Q = sc.Partition("facets", ((0, 2), (1,)))
+        assert P == Q and hash(P) == hash(Q)
+        assert P != P.blocks
+        assert P != sc.Partition("vertices", P.blocks)
+        with pytest.raises(AttributeError):
+            P.blocks = ((0, 1, 2),)
+
 
 class TestScattered:
     def test_heptagon_vertices_three_scattered(self, heptagon):

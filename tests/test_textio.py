@@ -80,6 +80,12 @@ class TestParsePartition:
         with pytest.raises(errors.OverlapError, match="line 2"):
             parse_vertex_partition("1 2\n2 3 4\n", X)
 
+    def test_facet_with_repeated_vertex(self):
+        X = sc.line_graph(3)
+        with pytest.raises(errors.UnknownTokenError, match="line 1: .*'1,2,1'"):
+            parse_facet_partition("1,2,1 3,4\n2,3\n", X)
+        assert parse_facet_partition("2,1 4,3\n3,2\n", X) == fpart(X, "1,2 3,4 | 2,3")
+
     def test_missing_element(self):
         X = sc.line_graph(3)
         with pytest.raises(errors.MissingElementError):
