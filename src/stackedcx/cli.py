@@ -34,10 +34,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("utf-8")  # a surrogateescape stdin passes bad bytes as surrogates
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeError:
+        name = "standard input" if path == "-" else repr(path)
+        raise InputError(f"{name} is not UTF-8 text") from None
+    return text
 
 
 def _load_complex(path: str):

@@ -90,7 +90,9 @@ class SimplicialComplex:
         vertices = frozenset(map(self.id_of, tokens))
         if len(vertices) != len(tokens):
             raise DuplicateVertexError(f"repeated vertex in facet {','.join(tokens)!r}")
-        return self.facet_index(vertices)
+        if vertices not in self._facet_index:
+            raise InputError(f"unknown facet {','.join(tokens)!r}")
+        return self._facet_index[vertices]
 
     @property
     def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -180,17 +182,12 @@ def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
 
 def dual_adjacency(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """Undirected facet graph: an edge where two facets share a codim-1 face."""
-    adj = X._cache.get("dual_adjacency")
-    if adj is not None:
-        return adj
     neighbours: list[set[int]] = [set() for _ in X.facets]
     for members in X.codim1_faces.values():
         for a, b in combinations(members, 2):
             neighbours[a].add(b)
             neighbours[b].add(a)
-    adj = tuple(tuple(sorted(ns)) for ns in neighbours)
-    X._cache["dual_adjacency"] = adj
-    return adj
+    return tuple(tuple(sorted(ns)) for ns in neighbours)
 
 
 def subcomplex(X: SimplicialComplex, facet_indices: Iterable[int]) -> SimplicialComplex:

@@ -100,6 +100,8 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
     def resolve(tok: str, ln: int) -> int:
         try:
             return X.facet_from_tokens(tok.split(","))
+        except DuplicateVertexError as exc:
+            raise UnknownTokenError(str(exc), line=ln) from None
         except InputError:
             raise UnknownTokenError(f"unknown facet {tok!r}", line=ln) from None
 
@@ -118,11 +120,10 @@ def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
 
 
 def _block_tokens(X: SimplicialComplex | None, P) -> list[list[str]]:
-    if isinstance(P, PrefixPartition):
-        return [[str(e) for e in block] for block in P.blocks]
-    if P.kind == "vertices":
+    kind = getattr(P, "kind", "integers")  # a PrefixPartition has no kind
+    if kind == "vertices":
         return [[X.token_of(v) for v in block] for block in P.blocks]
-    if P.kind == "facets":
+    if kind == "facets":
         return [[facet_token(X, f) for f in block] for block in P.blocks]
     return [[str(e) for e in block] for block in P.blocks]
 
@@ -140,50 +141,30 @@ def format_partition_line(P, X: SimplicialComplex | None = None) -> str:
 def export_dot(X: SimplicialComplex, partition: Partition | None = None) -> str:
     """DOT text: the tree itself for dimension 1, the dual facet graph for
     higher dimensions.  Partition blocks become color classes."""
-    node_color: dict[str, str] = {}
-    edge_color: dict[int, str] = {}
+    if X.dim == 1:
+        nodes, edges = X.labels, X.facet_tuples
+    else:
+        nodes = [facet_token(X, f) for f in range(X.n_facets)]
+        edges = [(f, g) for f, neighbours in enumerate(dual_adjacency(X))
+                 for g in neighbours if f < g]
+    node_color = [None] * len(nodes)
+    edge_color = [None] * len(edges)
     if partition is not None:
-        colors = [_PALETTE[i % len(_PALETTE)]
-                  for i in range(partition.n_blocks)]
-        if partition.kind == "vertices":
-            if X.dim != 1:
-                raise InputError(
-                    "vertex partitions only color dimension-1 complexes; "
-                    "the dual graph drawn for higher dimensions has facet nodes")
-            for i, block in enumerate(partition.blocks):
-                for v in block:
-                    node_color[X.token_of(v)] = colors[i]
-        else:
-            for i, block in enumerate(partition.blocks):
-                for f in block:
-                    if X.dim == 1:
-                        edge_color[f] = colors[i]
-                    else:
-                        node_color[facet_token(X, f)] = colors[i]
+        if partition.kind == "vertices" and X.dim != 1:
+            raise InputError(
+                "vertex partitions only color dimension-1 complexes; "
+                "the dual graph drawn for higher dimensions has facet nodes")
+        colored = node_color if partition.kind == "vertices" or X.dim > 1 else edge_color
+        for i, block in enumerate(partition.blocks):
+            for e in block:
+                colored[e] = _PALETTE[i % len(_PALETTE)]
 
     lines = ["graph complex {"]
-    if X.dim == 1:
-        for v in range(X.n_vertices):
-            tok = X.token_of(v)
-            if tok in node_color:
-                lines.append(f'  "{tok}" [style=filled, fillcolor="{node_color[tok]}"];')
-            else:
-                lines.append(f'  "{tok}";')
-        for f in range(X.n_facets):
-            a, b = X.facet_tokens(f)
-            attr = f' [color="{edge_color[f]}", penwidth=2]' if f in edge_color else ""
-            lines.append(f'  "{a}" -- "{b}"{attr};')
-    else:
-        for f in range(X.n_facets):
-            tok = facet_token(X, f)
-            if tok in node_color:
-                lines.append(f'  "{tok}" [style=filled, fillcolor="{node_color[tok]}"];')
-            else:
-                lines.append(f'  "{tok}";')
-        adj = dual_adjacency(X)
-        for f, neighbours in enumerate(adj):
-            for g in neighbours:
-                if f < g:
-                    lines.append(f'  "{facet_token(X, f)}" -- "{facet_token(X, g)}";')
+    for tok, color in zip(nodes, node_color):
+        attr = f' [style=filled, fillcolor="{color}"]' if color else ""
+        lines.append(f'  "{tok}"{attr};')
+    for (a, b), color in zip(edges, edge_color):
+        attr = f' [color="{color}", penwidth=2]' if color else ""
+        lines.append(f'  "{nodes[a]}" -- "{nodes[b]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -158,6 +159,12 @@ class TestPath:
         code, out, _ = run(capsys, "path", str(path), "--facets", "2,1", "4,3")
         assert code == 0 and out.splitlines()[-1] == "distance: 2"
 
+    def test_unknown_facet_is_named_by_its_tokens(self, capsys, tmp_path):
+        path = tmp_path / "path.cx"
+        path.write_text("a b\nb c\nc d\n")
+        code, out, err = run(capsys, "path", str(path), "--facets", "a,c", "b,c")
+        assert (code, out, err) == (1, "", "error: unknown facet 'a,c'\n")
+
 
 class TestMap:
     def test_f2v_figure_line(self, capsys, fig1a):
@@ -182,6 +189,15 @@ class TestMap:
         code, out, err = run(capsys, "map", "f2v", str(path), str(part))
         assert code == 1 and out == ""
         assert err.startswith("error: line 1: ") and "'1,2,1'" in err
+
+    def test_repeated_vertex_in_partition_facet_gives_the_reason(self, capsys, tmp_path):
+        path = tmp_path / "path.cx"
+        path.write_text("1 2\n2 3\n3 4\n")
+        part = tmp_path / "p.part"
+        part.write_text("1,2,1 3,4\n2,3\n")
+        code, out, err = run(capsys, "map", "f2v", str(path), str(part))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: repeated vertex in facet '1,2,1'\n"
 
     def test_rejects_not_stacked(self, capsys, tmp_path):
         bad = tmp_path / "cycle.cx"
@@ -327,6 +343,15 @@ class TestNat:
         assert code == 1 and out == ""
         assert repr(token) in err and "Traceback" not in err
 
+    def test_colimit_failure_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "check_colimit_compatibility",
+                            lambda P, refined=None: False)
+        pattern = tmp_path / "p.part"
+        pattern.write_text("1 3\n2\n")
+        code, out, err = run(capsys, "nat", "--pattern", str(pattern), "-n", "3")
+        assert code == 2 and err == ""
+        assert out.splitlines() == ["{1 4} {2} {3}", "colimit=FAIL"]
+
 
 class TestGen:
     def test_tree_deterministic(self, capsys):
@@ -367,6 +392,27 @@ class TestGen:
                            "--index", "3")
         assert code == 1 and "out of range" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tree"], "gen tree needs --vertices"),
+        (["tree", "--vertices", "1"], "trees need at least two vertices"),
+        (["polygon"], "gen polygon needs --size"),
+        (["polygon", "--size", "7", "--index", "42"],
+         "polygon index out of range 0..41"),
+        (["polygon", "--size", "7", "--index", "-1"],
+         "polygon index out of range 0..41"),
+        (["stacked", "--count", "3"], "gen stacked needs --dim and --count"),
+        (["stacked", "--dim", "2"], "gen stacked needs --dim and --count"),
+    ])
+    def test_missing_or_out_of_range_arguments(self, capsys, argv, message):
+        assert run(capsys, "gen", *argv) == (1, "", f"error: {message}\n")
+
+    def test_polygon_by_seed(self, capsys):
+        argv = ("gen", "polygon", "--size", "7", "--seed", "3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and run(capsys, *argv) == (0, out, "")
+        X = parse_complex(out)
+        assert X.dim == 2 and X.n_facets == 5 and sc.is_stacked(X)
+
 
 class TestDot:
     def test_tree_with_partition_auto_kind(self, capsys, fig1a):
@@ -378,6 +424,16 @@ class TestDot:
     def test_dual_graph(self, capsys, heptagon_file):
         code, out, _ = run(capsys, "dot", heptagon_file)
         assert code == 0 and out.count(" -- ") == 4
+
+    @pytest.mark.parametrize("kind", ["vertices", "auto"])
+    def test_tree_with_vertex_partition(self, capsys, fig1a, tmp_path, kind):
+        cx, _ = fig1a
+        part = tmp_path / "fig1a-vertices.part"
+        part.write_text("1 3 5\n2 6\n4\n")
+        code, out, err = run(capsys, "dot", cx, str(part), "--kind", kind)
+        assert code == 0 and err == ""
+        assert '  "4" [style=filled, fillcolor="#4daf4a"];' in out.splitlines()
+        assert out.count("fillcolor") == 6 and "penwidth" not in out
 
 
 class TestModuleEntry:
@@ -402,3 +458,74 @@ class TestUsage:
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/file.cx")
         assert code == 1 and "error" in err
+
+
+NOT_UTF8 = b"\xff 1\n"
+
+
+class TestNonUtf8Input:
+    def test_complex_and_partition_files(self, capsys, tmp_path, fig1a):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        expected = (1, "", f"error: {str(bad)!r} is not UTF-8 text\n")
+        assert run(capsys, "check", str(bad)) == expected
+        assert run(capsys, "map", "v2f", fig1a[0], str(bad)) == expected
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_stdin(self, capsys, monkeypatch, errors):
+        stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8",
+                                 errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(capsys, "check", "-") == (
+            1, "", "error: standard input is not UTF-8 text\n")
+
+
+MALFORMED = {
+    "empty": b"",
+    "comments-only": b"# no facets\n\n",
+    "one-vertex-facets": b"1\n2\n",
+    "not-pure": b"1 2\n2 3 4\n",
+    "repeated-facet": b"1 2\n2 1\n",
+    "repeated-vertex": b"1 1\n1 2\n",
+    "unknown-tokens": b"x 9\n",
+    "not-utf8": NOT_UTF8,
+    "directory": None,
+    "missing": None,
+}
+
+# every subcommand that reads a file; BAD is the malformed input and CX a
+# valid path 1-2-3-4
+COMMANDS = [
+    "check BAD",
+    "path BAD --facets 1,2 2,3",
+    "path BAD --vertices 1 3",
+    "map v2f BAD CX",
+    "map v2f CX BAD",
+    "map f2v CX BAD",
+    "enumerate BAD --kind vertices -r 2 -s 1",
+    "enumerate BAD --kind facets -r 2 -s 1",
+    "verify BAD -r 2 -s 1",
+    "census BAD",
+    "nat --pattern BAD -n 3",
+    "dot BAD",
+    "dot CX BAD",
+    "dot CX BAD --kind facets",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_with_a_message(capsys, tmp_path, name, command):
+    """Malformed input ends in exit code 0, 1 or 2 and never a traceback."""
+    good = tmp_path / "path.cx"
+    good.write_text("1 2\n2 3\n3 4\n")
+    bad = tmp_path / name
+    if name == "directory":
+        bad.mkdir()
+    elif name != "missing":
+        bad.write_bytes(MALFORMED[name])
+    argv = [{"BAD": str(bad), "CX": str(good)}.get(arg, arg)
+            for arg in command.split()]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err

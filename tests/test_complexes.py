@@ -66,6 +66,18 @@ class TestBuild:
             with pytest.raises(errors.InputError, match="repeated vertex"):
                 X.facet_from_tokens(tokens)
 
+    def test_lookup_errors_name_the_tokens(self, heptagon):
+        with pytest.raises(errors.InputError) as info:
+            heptagon.id_of("9")
+        assert str(info.value) == "unknown vertex token '9'"
+        with pytest.raises(errors.InputError) as info:
+            heptagon.facet_from_tokens(["1", "3", "5"])
+        assert str(info.value) == "unknown facet '1,3,5'"
+        X = cx("a b", "b c", "c d")
+        with pytest.raises(errors.InputError) as info:
+            X.facet_from_tokens(["a", "c"])
+        assert str(info.value) == "unknown facet 'a,c'"
+
 
 class TestStacking:
     def test_single_facet(self):
@@ -120,6 +132,22 @@ class TestStacking:
                                  free_vertices=order.free_vertices[::-1])
         bad = wrong.free_vertices != order.free_vertices
         assert not bad or not sc.replay_stacking_order(heptagon, wrong)
+
+    # the heptagon replays as 127, 257 (+5), 245 (+4), 567 (+6), 234 (+3)
+    @pytest.mark.parametrize("order, free, ok", [
+        ("127 257 245 567 234", "5 4 6 3", True),
+        ("127 257 245 567 234", "7 4 6 3", False),  # 7 is already in 127
+        ("127 257 245 567 234", "4 5 6 3", False),  # 4 is not in 257
+        ("127 567 257 245 234", "5 4 6 3", False),  # 567 meets 127 in 7 alone
+        ("127 257 245 567 257", "5 4 6 3", False),  # 257 twice, 234 missing
+        ("127 257 245 567 234", "5 4 6", False),    # one free vertex short
+    ])
+    def test_replay_checks_each_step(self, heptagon, order, free, ok):
+        X = heptagon
+        cert = sc.StackingOrder(
+            order=tuple(facet(X, ",".join(f)) for f in order.split()),
+            free_vertices=tuple(X.id_of(v) for v in free.split()))
+        assert sc.replay_stacking_order(X, cert) == ok
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)

@@ -175,3 +175,14 @@ class TestPrefixPartition:
     def test_restrict_prefix(self):
         P = prefix(6, [1, 4], [2, 5], [3, 6])
         assert sc.restrict_prefix(P, 4).blocks == ((1, 4), (2,), (3,))
+
+    def test_lengths_out_of_range(self):
+        with pytest.raises(errors.InputError, match="^prefix length must be >= 1$"):
+            sc.make_prefix_partition(0, [])
+        with pytest.raises(errors.InputError, match="^line graph needs at least one edge$"):
+            sc.line_graph(0)
+        P = prefix(3, [1, 3], [2])
+        for n in (0, 4):
+            with pytest.raises(errors.InputError,
+                               match=f"^cannot restrict prefix of length 3 to {n}$"):
+                sc.restrict_prefix(P, n)

@@ -153,6 +153,20 @@ class TestExactCounts:
 
 
 class TestVerifyBijection:
+    @pytest.mark.parametrize("counts, failures", [
+        ((15, 15, 0, 0), 0),
+        ((15, 14, 0, 0), 1),   # the families differ in size
+        ((15, 15, 2, 3), 5),   # round trips and image mismatches add up
+        ((15, 13, 2, 3), 6),
+    ])
+    def test_report_failures(self, counts, failures):
+        left, right, round_trips, mismatches = counts
+        report = oracle.BijectionReport(
+            parts=2, scatter=1, dim=2, left_count=left, right_count=right,
+            round_trip_failures=round_trips, image_mismatches=mismatches)
+        assert report.failures == failures
+        assert report.ok == (failures == 0)
+
     def test_single_edge(self):
         X = cx("1 2")
         report = sc.verify_bijection(X, 1, 1)

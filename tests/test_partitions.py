@@ -60,6 +60,10 @@ class TestPartitionBasics:
         with pytest.raises(errors.NotAPartitionError):
             sc.make_partition("vertices", [[0, 1]], ground=range(3))
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(errors.NotAPartitionError, match="^no blocks$"):
+            sc.make_partition("vertices", [])
+
     def test_restrict(self):
         P = sc.make_partition("vertices", [[1, 3, 5], [2, 6], [4]])
         got = sc.restrict_partition(P, range(1, 6))
@@ -99,6 +103,22 @@ class TestScattered:
         assert sc.is_scattered(heptagon, range(heptagon.n_vertices), 1,
                                "vertices")
         assert sc.is_scattered(heptagon, range(heptagon.n_facets), 1, "facets")
+
+    def test_rejects_bad_scatter_and_kind(self, heptagon):
+        with pytest.raises(errors.InputError, match="^scatter must be >= 1$"):
+            sc.is_scattered(heptagon, [0, 1], 0, "vertices")
+        with pytest.raises(errors.InputError, match="^unknown ground kind 'edges'$"):
+            sc.is_scattered(heptagon, [0, 1], 1, "edges")
+
+    def test_maps_reject_the_wrong_kind(self, heptagon):
+        P = sc.make_partition("vertices", [range(heptagon.n_vertices)])
+        Q = sc.make_partition("facets", [range(heptagon.n_facets)])
+        with pytest.raises(errors.NotAPartitionError,
+                           match="^expected a partition of facets, got vertices$"):
+            sc.facet_to_vertex(heptagon, P)
+        with pytest.raises(errors.NotAPartitionError,
+                           match="^expected a partition of vertices, got facets$"):
+            sc.vertex_to_facet(heptagon, Q)
 
 
 class TestVertexToFacet:

@@ -159,6 +159,22 @@ class TestFacePath:
         with pytest.raises(errors.NotSeparatedError):
             sc.face_path(heptagon, {heptagon.id_of("2")}, {heptagon.id_of("4")})
 
+    @pytest.mark.parametrize("h, k, message", [
+        ((), ("4",), "faces must be non-empty vertex sets"),
+        (("4",), (), "faces must be non-empty vertex sets"),
+        (("1", "3"), ("5",), r"\[0, 2\] is not a face"),
+        (("1",), ("3", "5"), r"\[2, 4\] is not a face"),
+    ])
+    def test_rejects_empty_and_non_faces(self, heptagon, h, k, message):
+        ids = [{heptagon.id_of(t) for t in face} for face in (h, k)]
+        with pytest.raises(errors.NotAFaceError, match=f"^{message}$"):
+            sc.face_path(heptagon, *ids)
+
+    @pytest.mark.parametrize("v", [-1, 7, 99])
+    def test_rejects_vertex_ids_out_of_range(self, heptagon, v):
+        with pytest.raises(errors.NotAFaceError, match=rf"^\[{v}\] is not a face$"):
+            sc.face_path(heptagon, {v}, {0})
+
     def test_not_a_face(self, heptagon):
         with pytest.raises(errors.NotAFaceError):
             sc.face_path(heptagon, {heptagon.id_of("1")},
@@ -307,6 +323,11 @@ def reference_neighborhood(X, g, m, dist):
 
 
 class TestDistanceNeighborhood:
+    def test_rejects_negative_m(self, heptagon):
+        g = frozenset(heptagon.id_of(t) for t in "24")
+        with pytest.raises(errors.InputError, match="^m must be >= 0$"):
+            sc.distance_neighborhood(heptagon, g, -1)
+
     def test_line_tree(self):
         X = sc.line_graph(4)
         g = frozenset({X.id_of("3")})

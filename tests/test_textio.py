@@ -86,6 +86,17 @@ class TestParsePartition:
             parse_facet_partition("1,2,1 3,4\n2,3\n", X)
         assert parse_facet_partition("2,1 4,3\n3,2\n", X) == fpart(X, "1,2 3,4 | 2,3")
 
+    @pytest.mark.parametrize("token, reason", [
+        ("1,2,1", "repeated vertex in facet '1,2,1'"),
+        ("1,3", "unknown facet '1,3'"),
+        ("1,9", "unknown facet '1,9'"),
+    ])
+    def test_facet_errors_give_the_reason(self, token, reason):
+        X = sc.line_graph(3)
+        with pytest.raises(errors.UnknownTokenError) as info:
+            parse_facet_partition(f"{token} 3,4\n2,3\n", X)
+        assert str(info.value) == f"line 1: {reason}"
+
     def test_missing_element(self):
         X = sc.line_graph(3)
         with pytest.raises(errors.MissingElementError):
@@ -167,3 +178,59 @@ class TestDot:
         Q = fpart(heptagon, "2,3,4 2,5,7 | 1,2,7 2,4,5 5,6,7")
         dot = export_dot(heptagon, Q)
         assert dot.count("fillcolor") == 5
+
+
+def dot_text(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in ("graph complex {", *lines, "}"))
+
+
+RED, BLUE, GREEN = "#e41a1c", "#377eb8", "#4daf4a"
+PATH_EDGES = [f'"{i}" -- "{i + 1}"' for i in range(1, 6)]
+HEPTAGON_NODES = ['"1,2,7"', '"2,3,4"', '"2,4,5"', '"2,5,7"', '"5,6,7"']
+HEPTAGON_EDGES = ['  "1,2,7" -- "2,5,7";', '  "2,3,4" -- "2,4,5";',
+                  '  "2,4,5" -- "2,5,7";', '  "2,5,7" -- "5,6,7";']
+
+
+class TestDotText:
+    """The exact DOT text: node lines in id or facet order, then edge lines."""
+
+    def test_path(self):
+        assert export_dot(sc.line_graph(5)) == dot_text(
+            *(f'  "{v}";' for v in range(1, 7)),
+            *(f"  {edge};" for edge in PATH_EDGES))
+
+    def test_path_with_vertex_partition(self):
+        X = sc.line_graph(5)
+        colors = [RED, BLUE, RED, GREEN, RED, BLUE]
+        assert export_dot(X, vpart(X, "1 3 5 | 2 6 | 4")) == dot_text(
+            *(f'  "{v}" [style=filled, fillcolor="{c}"];'
+              for v, c in enumerate(colors, 1)),
+            *(f"  {edge};" for edge in PATH_EDGES))
+
+    def test_path_with_facet_partition(self):
+        X = sc.line_graph(5)
+        colors = [RED, RED, BLUE, BLUE, RED]
+        assert export_dot(X, fpart(X, "3,4 4,5 | 1,2 2,3 5,6")) == dot_text(
+            *(f'  "{v}";' for v in range(1, 7)),
+            *(f'  {edge} [color="{c}", penwidth=2];'
+              for edge, c in zip(PATH_EDGES, colors)))
+
+    def test_heptagon(self, heptagon):
+        assert export_dot(heptagon) == dot_text(
+            *(f"  {node};" for node in HEPTAGON_NODES), *HEPTAGON_EDGES)
+
+    def test_heptagon_with_facet_partition(self, heptagon):
+        Q = fpart(heptagon, "2,3,4 2,5,7 | 1,2,7 2,4,5 5,6,7")
+        colors = [RED, BLUE, RED, BLUE, RED]
+        assert export_dot(heptagon, Q) == dot_text(
+            *(f'  {node} [style=filled, fillcolor="{c}"];'
+              for node, c in zip(HEPTAGON_NODES, colors)),
+            *HEPTAGON_EDGES)
+
+    def test_vertex_partition_on_heptagon_message(self, heptagon):
+        P = vpart(heptagon, "3 7 | 1 4 6 | 2 | 5")
+        with pytest.raises(errors.InputError) as info:
+            export_dot(heptagon, P)
+        assert str(info.value) == (
+            "vertex partitions only color dimension-1 complexes; the dual "
+            "graph drawn for higher dimensions has facet nodes")
