@@ -204,15 +204,14 @@ class StackingTree:
     ridge its facets in ascending order.
 
     ``order`` lists the facets as the breadth-first sweep from facet 0
-    reaches them.  A reached facet c > 0 has ``up[c]``, the facet p across
-    its parent ridge, ``free[c]`` = c - p, ``port[c]`` = p - c and
+    reaches them, so the children of each facet form one contiguous run
+    of it.  A reached facet c > 0 has ``up[c]``, the facet p across its
+    parent ridge, ``free[c]`` = c - p, ``port[c]`` = p - c and
     ``depth[c]``, its facet distance from facet 0; the root's entries are
-    0.  ``walk`` is a depth-first walk of the reached facets that lists c
-    on entering and ~c on leaving it; the root is never entered.
+    0.
     """
 
-    __slots__ = ("ridges", "adjacency", "order", "up", "free", "port",
-                 "depth", "walk")
+    __slots__ = ("ridges", "adjacency", "order", "up", "free", "port", "depth")
 
     def __init__(self, X: SimplicialComplex):
         index = X.codim1_faces
@@ -233,21 +232,11 @@ class StackingTree:
                     nodes.append(w)
         self.order = [u for u in nodes if u < n]
         self.up, self.free, self.port, self.depth = ([0] * n for _ in range(4))
-        children: list[list[int]] = [[] for _ in range(n)]
         for c in self.order[1:]:
             p = self.up[c] = reached_from[reached_from[c]]
             (self.free[c],) = X.facets[c] - X.facets[p]
             (self.port[c],) = X.facets[p] - X.facets[c]
             self.depth[c] = self.depth[p] + 1
-            children[p].append(c)
-        self.walk = []
-        stack = children[0]
-        while stack:
-            c = stack.pop()
-            self.walk.append(c)
-            if c > 0:
-                stack.append(~c)
-                stack.extend(children[c])
 
     def sweep(self, sources: Iterable[int]) -> list[int]:
         """Breadth-first search from the given nodes, all at depth 0: each

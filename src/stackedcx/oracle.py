@@ -4,24 +4,27 @@ This is the verification side of the package: restricted-growth-string
 enumeration of scattered partitions, exhaustive bijection checks, and the
 Bell/Stirling identities they must reproduce.
 
-A partition of a sorted ground set is held as its restricted-growth
-string: entry i is the block of the i-th element, and blocks are numbered
-0, 1, ... in the order of their smallest element (Knuth, TAOCP 4A
-§7.2.1.5).  The string is canonical, so two partitions are equal iff their
-strings are.  :func:`enumerate_partitions` converts each string to a
-:class:`Partition`; :func:`verify_bijection` and :func:`census` work on the
-strings throughout, and the maps they call read a string as the block
-number of each facet or vertex.
+A partition is held as a string: entry i is the block of the i-th element
+of the sorted ground set, blocks numbered 0, 1, ... in the order their
+first member is placed (Knuth, TAOCP 4A §7.2.1.5, restricted-growth
+strings).  :func:`enumerate_partitions` places elements in id order;
+:func:`verify_bijection` and :func:`census` place them in
+:func:`partitions.certificate_order`, as the string maps do, so
+enumerated strings and images compare as tuples.  That order is a perfect
+elimination order of the scatter graph (Rose, Tarjan & Lueker 1976): an
+element's earlier close elements are pairwise close, so they sit in
+distinct blocks whatever the vertex labels.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
 from .errors import InputError, NotIndependentError, OutOfRangeError
 from .partitions import (
     GroundKind,
     Partition,
+    certificate_order,
     facet_to_vertex_string,
     vertex_to_facet_string,
 )
@@ -93,16 +96,16 @@ def prefix_spec(n: int, parts: int, scatter: int) -> EnumerationSpec:
                            distance=lambda a, b: abs(a - b), kind="integers")
 
 
-def _growth_strings(spec: EnumerationSpec) -> Iterator[tuple[int, ...]]:
-    """The restricted-growth string of every partition of the sorted ground
-    set into exactly ``parts`` blocks, each ``scatter``-scattered, once
-    each, in lexicographic order.
-
-    A depth-first walk over the strings: position i tries each open block
-    in turn and then a new one.  Scatter is pruned incrementally: an
+def _growth_strings(spec: EnumerationSpec,
+                    order: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """The string of every partition of the sorted ground set into exactly
+    ``parts`` blocks, each ``scatter``-scattered, once each, by a
+    depth-first walk that places the positions in ``order`` (by default
+    0, 1, ...): each tries each open block in turn, then a new one.  An
     element joins a block only if it keeps distance >= scatter to every
-    member already there, tested as one AND of the block's member
-    positions with the element's ``close`` mask.
+    member already there: one AND of the block's member steps with the
+    step's ``close`` mask.  The strings come in lexicographic order of
+    their entries read along ``order``.
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
@@ -111,19 +114,22 @@ def _growth_strings(spec: EnumerationSpec) -> Iterator[tuple[int, ...]]:
     r = spec.parts
     if r > n:
         return
+    order = list(range(n)) if order is None else order
     s = spec.scatter
-    close = [0] * n  # per position: the earlier positions closer than s
+    close = [0] * n  # per step: the earlier steps closer than s
     if s > 1:
         dist = spec.distance
-        for i, e in enumerate(ground):
-            close[i] = sum(1 << j for j in range(i) if dist(ground[j], e) < s)
-    masks = [0] * r  # member positions per block
+        for i, e in enumerate(order):
+            close[i] = sum(1 << j for j in range(i)
+                           if dist(ground[order[j]], ground[e]) < s)
+    masks = [0] * r  # member steps per block
     k = 0  # open blocks
-    slot = [-1] * n  # the block position i sits in, -1 while unplaced
+    slot = [-1] * n  # the block of each position, -1 while unplaced
     i = 0
     while i >= 0:
-        b = slot[i]
-        if b >= 0:  # take position i out of its block
+        e = order[i]
+        b = slot[e]
+        if b >= 0:  # take step i out of its block
             masks[b] ^= 1 << i
             if not masks[b]:  # it opened the block, the last one
                 k -= 1
@@ -136,13 +142,13 @@ def _growth_strings(spec: EnumerationSpec) -> Iterator[tuple[int, ...]]:
         elif b == k < r:
             masks[b] = 1 << i
             k += 1
-        else:  # position i is exhausted: backtrack
-            slot[i] = -1
+        else:  # step i is exhausted: backtrack
+            slot[e] = -1
             i -= 1
             continue
-        slot[i] = b
+        slot[e] = b
         if n - 1 - i < r - k:
-            continue  # too few positions left to open the missing blocks
+            continue  # too few steps left to open the missing blocks
         if i == n - 1:
             yield tuple(slot)
         else:
@@ -150,8 +156,7 @@ def _growth_strings(spec: EnumerationSpec) -> Iterator[tuple[int, ...]]:
 
 
 def _partition(kind: GroundKind, ground: Iterable[int], a: tuple[int, ...]) -> Partition:
-    """The partition of the sorted ground set whose restricted-growth
-    string is ``a``; its blocks come out canonical."""
+    """The partition of the sorted ground set whose id-order string is ``a``."""
     blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
     for e, b in zip(ground, a):
         blocks[b].append(e)
@@ -203,9 +208,8 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     partitions (r+d parts, s+1-scattered); check that the two maps are
     mutually inverse bijections between the families.
 
-    Both families are lists of restricted-growth strings, and both maps
-    run on strings (:func:`partitions.facet_to_vertex_string` and
-    :func:`partitions.vertex_to_facet_string`), so equal partitions are
+    Both families are enumerated in :func:`partitions.certificate_order`,
+    the form both string maps take and return, so equal partitions are
     equal tuples.  :class:`Partition` objects are built only for the
     counterexamples.
 
@@ -226,27 +230,29 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     pass's partitions and the forward images found in that family, and
     runs it on any other image; an image that is not a partition into
     independent sets does not round-trip.  Counterexamples are (reason,
-    partition) pairs, at most three.  A complex of more than
+    partition) pairs, the first three of the forward and then the reverse
+    pass, in the order of :func:`enumerate_partitions`.  A complex of more than
     ``MAX_EXACT`` facets raises OutOfRangeError before anything is
     enumerated.
     """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
     _check_exact_range(X.n_facets)
-    left = list(_growth_strings(facet_spec(X, r, s)))
+    left = list(_growth_strings(facet_spec(X, r, s), certificate_order(X, "facets")))
     vertex_family = vertex_spec(X, r + X.dim, s + 1)
-    right = list(_growth_strings(vertex_family))
+    right = list(_growth_strings(vertex_family, certificate_order(X, "vertices")))
     left_set = set(left)
     right_set = set(right)
     independent = vertex_family.scatter >= 2
 
     round_trips = 0
     mismatches = 0
-    examples: list[tuple[str, Partition]] = []
+    notes: list[tuple[bool, tuple[int, ...], str, GroundKind]] = []
 
     def note(reason: str, kind: GroundKind, a: tuple[int, ...]) -> None:
-        if len(examples) < 3:
-            examples.append((reason, _partition(kind, range(len(a)), a)))
+        first: dict[int, int] = {}  # a with its blocks numbered in id order
+        a = tuple([first.setdefault(x, len(first)) for x in a])
+        notes.append((kind == "vertices", a, reason, kind))
 
     forward: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in left:
@@ -273,12 +279,15 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
             elif forward[preimage] != b:
                 round_trips += 1
                 note("vertex partition that does not round-trip", "vertices", b)
+    notes.sort(key=lambda t: t[:2])  # stable: one partition's notes keep their order
+    examples = tuple((reason, _partition(kind, range(len(a)), a))
+                     for _, a, reason, kind in notes[:3])
 
     return BijectionReport(parts=r, scatter=s, dim=X.dim,
                            left_count=len(left), right_count=len(right),
                            round_trip_failures=round_trips,
                            image_mismatches=mismatches,
-                           counterexamples=tuple(examples))
+                           counterexamples=examples)
 
 
 @dataclass(frozen=True)
@@ -323,10 +332,11 @@ def census(X: SimplicialComplex) -> CensusReport:
     OutOfRangeError before anything is counted."""
     n = X.n_facets
     _check_exact_range(n)
+    order = certificate_order(X, "vertices")
     rows = []
     total = 0
     for r in range(1, n + 1):
-        count = sum(1 for _ in _growth_strings(vertex_spec(X, r + X.dim, 2)))
+        count = sum(1 for _ in _growth_strings(vertex_spec(X, r + X.dim, 2), order))
         rows.append(CensusRow(parts=r, vertex_parts=r + X.dim, count=count,
                               expected=stirling2(n, r)))
         total += count

@@ -12,22 +12,16 @@ vertices of their path share a block that no interior facet of the path
 meets.  The maps return the equivalences these relations generate;
 unrelated elements stay as singleton blocks.
 
-Both maps are one preorder pass over the stacking tree rooted at facet 0
-(:func:`_label`).  They read the per-facet arrays that
-:class:`complexes.StackingTree` keeps with the certificate: the parent
-facet, the free vertex, the port and the depth-first walk.  Every vertex
-outside the root facet first appears at one facet, the free vertex of
-that facet, so each map relates every new element, as it is reached, to
-one element seen before it: the port of the nearest ancestor facet in
-the right block.  Classes only grow, so a label per element holds them,
-and no all-pairs structure is built.
-
-The label array has two finishes.  The public maps validate their
-:class:`Partition` and group the labels into canonical blocks.  The
-string maps, which :func:`oracle.verify_bijection` runs, take and return
-restricted-growth strings (entry e is the block number of element e,
-blocks numbered in the order of their smallest element) and renumber the
-labels into one.
+Both maps are one pass over the stacking tree rooted at facet 0, in
+certificate order (:func:`_label`), reading each facet's parent, free
+vertex and port from :class:`complexes.StackingTree`.  Each relates every
+new element, as it is reached, to one element placed before it: the port
+of the nearest ancestor facet in the right block.  So a class is numbered
+when its first member is placed, and the labels are a string in
+certificate form: entry e is the block of element e, blocks numbered in
+the order their first member appears along :func:`certificate_order`.
+The public maps group it into canonical blocks; the string maps, which
+:func:`oracle.verify_bijection` runs, return it as it is.
 """
 
 from dataclasses import dataclass
@@ -131,23 +125,68 @@ def _index_cover(P: Partition, kind: GroundKind, size: int) -> list[int]:
     return block_of
 
 
-def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
-           lookup_key: Sequence[int], element: Sequence[int], size: int,
-           n_blocks: int) -> list[int]:
-    """Each of ``size`` elements labelled by its class in the equivalence
-    one tree walk builds: both maps, which differ only in their arguments.
-    Two elements share a class iff they share a label.
+def certificate_order(X: SimplicialComplex, kind: GroundKind) -> list[int]:
+    """The order in which the maps place elements and number blocks: the
+    facets in the stacking tree's sweep, or the root facet's vertices and
+    then the free vertex of each later facet."""
+    tree = stacking_tree(X)
+    if kind == "facets":
+        return tree.order[:]
+    return [*X.facet_tuples[0], *map(tree.free.__getitem__, tree.order[1:])]
 
-    Entering a non-root facet c, with parent p, first crosses the edge
-    p-c: ``cur[edge_key[c]]`` is saved and set to the label of
-    ``edge_source[c]``, and restored when the walk leaves c.  Then the
-    element of c joins the class ``cur[lookup_key[c]]``; when that is
-    still -1 the element starts its block's root region instead, and its
-    own label is written there and never restored.  Leaving a facet
-    restores its edge's entry, so only the edges on c's path to the root
-    are in effect at c.  The element is new (the free vertex c - p first
-    appears at c, as a vertex's facets form a subtree; in v2f it is c
-    itself), so classes only grow and a label per element holds them.
+
+def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
+    """The pass of :func:`_label` that labels the facets or the vertices of
+    X, built once per complex and kind: a step (slot of p's row, slot of
+    c's row, edge_at, edge_source, lookup_at, element) per facet c after
+    the root, p its parent, in certificate order; the root's elements
+    labelled 0, 1, ...; their count; the number of facets.  c's slot is
+    -1 when c has no children, p's when c is p's last child, else c.
+    """
+    key = f"{kind}_pass"
+    plan = X._cache.get(key)
+    if plan is None:
+        tree = stacking_tree(X)
+        order, up, port, free = tree.order, tree.up, tree.port, tree.free
+        n = X.n_facets
+        last = {up[c]: c for c in order[1:]}  # each parent's last child
+        slot = [0] * n
+        steps = []
+        for c in order[1:]:
+            p = up[c]
+            slot[c] = -1 if c not in last else slot[p] if last[p] == c else c
+            ends = (p, port[c], c, free[c]) if kind == "vertices" else (port[c], p, free[c], c)
+            steps.append((slot[p], slot[c], *ends))
+        roots = X.facet_tuples[0] if kind == "vertices" else (0,)
+        label = [-1] * (X.n_vertices if kind == "vertices" else n)
+        for i, e in enumerate(roots):
+            label[e] = i
+        plan = X._cache[key] = (steps, label, len(roots), n)
+    return plan
+
+
+def _label(plan: tuple, block_of: Sequence[int]) -> list[int]:
+    """Each element labelled by its class in the equivalence one pass over
+    the stacking tree builds, as a string in certificate form: both maps,
+    which differ only in their :func:`_pass`.
+
+    The root facet's elements get classes 0, 1, ...  Each later facet c,
+    in certificate order and with parent p, takes p's row, a map from
+    blocks to classes, and crosses the edge p-c: it sets entry
+    ``block_of[edge_at]`` to the class of ``edge_source``.  So entry k of
+    c's row is the class handed down by the nearest edge keyed k on c's
+    path to the root, if any.  The element of c joins the class in entry
+    ``block_of[lookup_at]``, or else its block's root region, whose class
+    is numbered when its first member is placed.  The element is new (the
+    free vertex c - p first appears at c, as a vertex's facets form a
+    subtree; in v2f it is c itself), so classes only grow, and it joins a
+    class of an element placed before it: the numbers follow the order.
+
+    p's children are one contiguous run of the order and share p's row:
+    one with no children only reads it, the last keeps it, and the others
+    set their entry and restore it, keeping a copy.  A row has at most an
+    entry per edge on its path: the pass is O(n) on a path or a star, and
+    O(n + m·min(r, h)) for m copies, r blocks and tree height h.
 
     f2v: edge key ``block_of[p]``, edge source ``port[c]``, lookup key
     ``block_of[c]``, element ``free[c]``.  Let B be c's block and a the
@@ -171,62 +210,40 @@ def _label(walk: list[int], edge_key: Sequence[int], edge_source: Sequence[int],
     between them, and g and the facets up to it are inside the path, so
     i and j have the same nearest qualifying ancestor above g, reached
     through the same edge, and join the same class; when there is none,
-    both start or join the root region.  Any two elements of a root
-    region are related, since no facet above either one qualifies.
+    both join the root region.  Any two elements of a root region are
+    related, since no facet above either one qualifies.
     """
-    label = list(range(size))
-    cur = [-1] * n_blocks
-    saved = [0] * len(edge_key)
-    for c in walk:
-        if c < 0:
-            cur[edge_key[~c]] = saved[~c]
-            continue
-        k = edge_key[c]
-        saved[c] = cur[k]
-        cur[k] = label[edge_source[c]]
-        k = lookup_key[c]
-        if cur[k] < 0:
-            cur[k] = element[c]
+    steps, label, n_roots, n = plan
+    label = label[:]
+    base: dict[int, int] = {}  # the class of each block's root region
+    rows: list = [{}] + [None] * (n - 1)
+    for above, at, edge_at, source, lookup_at, element in steps:
+        row = rows[above]
+        k, j = block_of[edge_at], block_of[lookup_at]
+        if at < 0:  # c has no children: its row is read only here
+            x = label[source] if k == j else row.get(j)
         else:
-            label[element[c]] = cur[k]
+            old = row.get(k)
+            row[k] = label[source]
+            x = row.get(j)
+            if at != above:  # p's row is read again
+                rows[at] = row.copy()
+                if old is None:
+                    del row[k]
+                else:
+                    row[k] = old
+        if x is None:
+            x = base.setdefault(j, n_roots + len(base))
+        label[element] = x
     return label
 
 
 def _blocks(label: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The classes of a label array as canonical blocks."""
-    blocks: dict[int, list[int]] = {}
-    for e, root in enumerate(label):
-        if root in blocks:
-            blocks[root].append(e)
-        else:
-            blocks[root] = [e]
-    return tuple(map(tuple, blocks.values()))
-
-
-def _growth_string(label: list[int]) -> tuple[int, ...]:
-    """The classes of a label array as a restricted-growth string: classes
-    numbered 0, 1, ... in the order of their smallest element."""
-    first: dict[int, int] = {}
-    return tuple([first.setdefault(x, len(first)) for x in label])
-
-
-def _vertex_label(X: SimplicialComplex, block_of: Sequence[int],
-                  n_blocks: int) -> list[int]:
-    """The vertex classes :func:`facet_to_vertex` builds from each facet's
-    block number."""
-    tree = stacking_tree(X)
-    return _label(tree.walk, list(map(block_of.__getitem__, tree.up)), tree.port,
-                  block_of, tree.free, X.n_vertices, n_blocks)
-
-
-def _facet_label(X: SimplicialComplex, block_of: Sequence[int],
-                 n_blocks: int) -> list[int]:
-    """The facet classes :func:`vertex_to_facet` builds from each vertex's
-    block number, which must put no two vertices of a facet in one block."""
-    tree = stacking_tree(X)
-    get = block_of.__getitem__
-    return _label(tree.walk, list(map(get, tree.port)), tree.up,
-                  list(map(get, tree.free)), range(X.n_facets), X.n_facets, n_blocks)
+    """The classes of a label array, numbered 0, 1, ..., as canonical blocks."""
+    blocks: list[list[int]] = [[] for _ in range(max(label) + 1)]
+    for e, x in enumerate(label):
+        blocks[x].append(e)
+    return tuple(sorted(map(tuple, blocks)))
 
 
 def _edge_ends(X: SimplicialComplex) -> tuple[list[int], list[int]]:
@@ -262,30 +279,30 @@ def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     facet partition."""
     block_of = _index_cover(P, "vertices", X.n_vertices)
     _check_independent(X, block_of)
-    return Partition(kind="facets", blocks=_blocks(_facet_label(X, block_of, len(P.blocks))))
+    return Partition(kind="facets", blocks=_blocks(_label(_pass(X, "facets"), block_of)))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    return Partition(kind="vertices", blocks=_blocks(_vertex_label(X, block_of, len(Q.blocks))))
+    return Partition(kind="vertices", blocks=_blocks(_label(_pass(X, "vertices"), block_of)))
 
 
 def facet_to_vertex_string(X: SimplicialComplex, a: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`facet_to_vertex` on restricted-growth strings: ``a[f]`` is
-    the block of facet f, and the result's entry v is the block of vertex
-    v.  The string is trusted, not validated."""
-    return _growth_string(_vertex_label(X, a, max(a) + 1))
+    """:func:`facet_to_vertex` on strings: ``a[f]`` is the block of facet
+    f, in any numbering, and the result is the vertex partition in
+    certificate form.  The string is trusted, not validated."""
+    return tuple(_label(_pass(X, "vertices"), a))
 
 
 def vertex_to_facet_string(X: SimplicialComplex, a: tuple[int, ...], *,
                            independent: bool = False) -> tuple[int, ...]:
-    """:func:`vertex_to_facet` on restricted-growth strings, as
-    :func:`facet_to_vertex_string`.  The independence test is skipped when
-    the caller knows every block to be independent."""
+    """:func:`vertex_to_facet` on strings, as :func:`facet_to_vertex_string`.
+    The independence test is skipped when the caller knows every block to
+    be independent."""
     if not independent:
         _check_independent(X, a)
-    return _growth_string(_facet_label(X, a, max(a) + 1))
+    return tuple(_label(_pass(X, "facets"), a))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Complex files: one facet per line, vertex tokens separated by spaces.
 Partition files: one block per line; for facet partitions each token is a
 facet written as its vertex tokens joined by commas.  Lines starting with
-'#' are comments, blank lines are ignored, encoding is UTF-8.
+'#' are comments, blank lines are ignored, encoding is UTF-8, and one
+leading byte-order mark is dropped.
 """
 
 from .complexes import _NUMERIC, SimplicialComplex, build_complex, dual_adjacency
@@ -26,7 +27,7 @@ _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     out = []
-    for ln, raw in enumerate(text.splitlines(), 1):
+    for ln, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -159,12 +160,14 @@ def export_dot(X: SimplicialComplex, partition: Partition | None = None) -> str:
             for e in block:
                 colored[e] = _PALETTE[i % len(_PALETTE)]
 
+    # DOT quoted strings: a backslash escapes a quote, and \\ reads as one backslash
+    nodes = ['"' + tok.replace("\\", "\\\\").replace('"', '\\"') + '"' for tok in nodes]
     lines = ["graph complex {"]
     for tok, color in zip(nodes, node_color):
         attr = f' [style=filled, fillcolor="{color}"]' if color else ""
-        lines.append(f'  "{tok}"{attr};')
+        lines.append(f"  {tok}{attr};")
     for (a, b), color in zip(edges, edge_color):
         attr = f' [color="{color}", penwidth=2]' if color else ""
-        lines.append(f'  "{nodes[a]}" -- "{nodes[b]}"{attr};')
+        lines.append(f"  {nodes[a]} -- {nodes[b]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import pytest
 
 import stackedcx as sc
 from stackedcx import oracle
+from stackedcx.partitions import certificate_order
 from stackedcx.textio import parse_facet_partition, parse_vertex_partition
 
 HEPTAGON_FACETS = ("2 3 4", "2 4 5", "2 5 7", "5 6 7", "1 2 7")
@@ -54,45 +55,46 @@ def unconditional_merging_facet_to_vertex(X, Q) -> sc.Partition:
     return sc.make_partition("vertices", [P.blocks[0] + P.blocks[1], *P.blocks[2:]])
 
 
-def growth_string(P, size):
-    """The restricted-growth string of a canonical partition of
-    range(size): entry e is the number of e's block."""
-    a = [-1] * size
-    for b, block in enumerate(P.blocks):
-        for e in block:
-            a[e] = b
+def growth_string(X, P):
+    """P as a string in certificate form: entry e is the number of e's
+    block, blocks numbered in the order their first member appears along
+    the certificate order of P's kind."""
+    block_of = {e: b for b, block in enumerate(P.blocks) for e in block}
+    number: dict[int, int] = {}
+    a = [-1] * len(block_of)
+    for e in certificate_order(X, P.kind):
+        a[e] = number.setdefault(block_of[e], len(number))
     return tuple(a)
 
 
 def string_partition(kind, a):
-    """The canonical partition whose restricted-growth string is a."""
+    """The canonical partition whose string, with any block numbering, is a."""
     blocks = [[] for _ in range(max(a) + 1)]
     for e, b in enumerate(a):
         blocks[b].append(e)
-    return sc.Partition(kind, tuple(map(tuple, blocks)))
+    return sc.Partition(kind, tuple(sorted(map(tuple, blocks))))
 
 
 # each Partition-level map, as the string map oracle.verify_bijection calls
-# in its place, with the kinds of its argument and result
-STRING_MAPS = {"facet_to_vertex": ("facet_to_vertex_string", "facets", "vertices"),
-               "vertex_to_facet": ("vertex_to_facet_string", "vertices", "facets")}
+# in its place
+STRING_MAPS = {"facet_to_vertex": ("facet_to_vertex_string", "facets"),
+               "vertex_to_facet": ("vertex_to_facet_string", "vertices")}
 
 
 def inject(patch, name, fault):
     """Install a fault where oracle.verify_bijection will call it.  A fault
     on facet_to_vertex or vertex_to_facet, written over Partition objects,
-    replaces the restricted-growth string map oracle binds in its place:
-    the string is turned into a Partition, the fault runs on it, and its
-    result is turned back.  Any other fault (a spec) replaces ``name``."""
+    replaces the string map oracle binds in its place: the string is
+    turned into a Partition, the fault runs on it, and its result is
+    turned back into a string in certificate form.  Any other fault (a
+    spec) replaces ``name``."""
     if name not in STRING_MAPS:
         patch.setattr(oracle, name, fault)
         return
-    string_name, kind, image_kind = STRING_MAPS[name]
+    string_name, kind = STRING_MAPS[name]
 
     def on_strings(X, a, **_):
-        image = fault(X, string_partition(kind, a))
-        return growth_string(image, X.n_vertices if image_kind == "vertices"
-                             else X.n_facets)
+        return growth_string(X, fault(X, string_partition(kind, a)))
     patch.setattr(oracle, string_name, on_strings)
 
 

@@ -480,7 +480,43 @@ class TestNonUtf8Input:
             1, "", "error: standard input is not UTF-8 text\n")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """One leading UTF-8 byte-order mark is dropped from every text input."""
+
+    def test_complex_reads_as_without_the_mark(self, capsys, tmp_path):
+        marked = tmp_path / "marked.cx"
+        marked.write_bytes(BOM + b"1 2\n2 3\n")
+        plain = tmp_path / "plain.cx"
+        plain.write_bytes(b"1 2\n2 3\n")
+        got = run(capsys, "check", str(marked))
+        assert got == run(capsys, "check", str(plain))
+        assert got[0] == 0 and "stacking: 1,2 3+2,3" in got[1].splitlines()
+
+    def test_partition_files(self, capsys, tmp_path, fig1a):
+        cx, edges = fig1a
+        marked = tmp_path / "marked.part"
+        marked.write_bytes(BOM + Path(edges).read_bytes())
+        assert run(capsys, "map", "f2v", cx, str(marked)) == \
+            run(capsys, "map", "f2v", cx, edges)
+        vertices = tmp_path / "vertices.part"
+        vertices.write_bytes(BOM + b"1 3 5\n2 6\n4\n")
+        assert run(capsys, "map", "v2f", cx, str(vertices))[0] == 0
+        pattern = tmp_path / "pattern.part"
+        pattern.write_bytes(BOM + b"1 3\n2\n")
+        assert run(capsys, "nat", "--pattern", str(pattern), "-n", "3")[0] == 0
+
+    def test_only_one_mark_is_dropped(self, capsys, tmp_path):
+        twice = tmp_path / "twice.cx"
+        twice.write_bytes(BOM + BOM + b"1 2\n2 3\n")
+        code, out, _ = run(capsys, "check", str(twice))
+        assert code == 0 and "stacking: 2,3 \ufeff1+2,\ufeff1" in out.splitlines()
+
+
 MALFORMED = {
+    "byte-order-mark": BOM + b"1 2\n2 3\n",
     "empty": b"",
     "comments-only": b"# no facets\n\n",
     "one-vertex-facets": b"1\n2\n",

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,20 @@ from stackedcx.oracle import (
     prefix_spec,
     vertex_spec,
 )
+from stackedcx.partitions import (
+    certificate_order,
+    facet_to_vertex_string,
+    vertex_to_facet_string,
+)
+from stackedcx.paths import facet_distance_matrix, vertex_distance_matrix
 
 from conftest import (
     cx,
+    growth_string,
     inject,
     merging_facet_to_vertex,
     relabelled,
+    string_partition,
     unconditional_merging_facet_to_vertex,
 )
 
@@ -437,3 +447,98 @@ class TestLeanCore:
         report = oracle.verify_bijection(heptagon, 2, 2)
         assert (report.image_mismatches, len(report.counterexamples)) == (14, 3)
         assert built == [P.blocks for _, P in report.counterexamples]
+
+
+# verify_bijection and census enumerate in certificate order, the order in
+# which the string maps number blocks; enumerate_partitions in id order.
+
+class WalkCapReached(Exception):
+    pass
+
+
+def walk_in_lines(spec, order, cap):
+    """The number of strings the enumeration walk yields in ``order``, and
+    the lines of it that ran: a measure of its steps that does not depend
+    on the machine.  Raises WalkCapReached past ``cap`` lines."""
+    code = oracle._growth_strings.__code__
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if lines > cap:
+                raise WalkCapReached
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        count = sum(1 for _ in oracle._growth_strings(spec, order))
+    finally:
+        sys.settrace(previous)
+    return count, lines
+
+
+def close_earlier_are_cliques(order, distance, bound):
+    """In ``order``, every element's earlier elements at distance < bound
+    are pairwise at distance < bound."""
+    for i, e in enumerate(order):
+        near = [f for f in order[:i] if distance[f][e] < bound]
+        if any(distance[a][b] >= bound for a, b in combinations(near, 2)):
+            return False
+    return True
+
+
+def clique_corpus():
+    """The test corpora's small complexes, each as generated and relabelled."""
+    complexes = [T for v in range(2, 7) for T in all_trees(v)]
+    complexes += list(polygon_triangulations(7))
+    complexes += [random_stacked(1 + seed % 3, 1 + seed % 9, seed) for seed in range(60)]
+    return complexes + [relabelled(X, i) for i, X in enumerate(complexes)]
+
+
+class TestCertificateOrder:
+    @given(both_labellings, st.sampled_from(("facets", "vertices")),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_yields_the_id_order_partitions(self, pair, kind, r, s):
+        for X in pair:
+            spec = (facet_spec if kind == "facets" else vertex_spec)(X, r, s)
+            strings = list(oracle._growth_strings(spec, certificate_order(X, kind)))
+            partitions = [string_partition(kind, a) for a in strings]
+            assert len(set(strings)) == len(strings)
+            assert set(partitions) == set(enumerate_partitions(spec))
+            # each string is the certificate form of its partition
+            assert strings == [growth_string(X, P) for P in partitions]
+
+    @given(both_labellings, st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_string_maps_agree_with_public_maps(self, pair, r, s):
+        for X in pair:
+            order = certificate_order(X, "facets")
+            for a in oracle._growth_strings(facet_spec(X, r, s), order):
+                P = sc.facet_to_vertex(X, string_partition("facets", a))
+                assert facet_to_vertex_string(X, a) == growth_string(X, P)
+            order = certificate_order(X, "vertices")
+            for b in oracle._growth_strings(vertex_spec(X, r + X.dim, s + 1), order):
+                Q = sc.vertex_to_facet(X, string_partition("vertices", b))
+                assert vertex_to_facet_string(X, b) == growth_string(X, Q)
+
+    def test_close_earlier_elements_form_a_clique(self):
+        # the perfect elimination property the walk's label blindness rests on
+        for X in clique_corpus():
+            facets, vertices = facet_distance_matrix(X), vertex_distance_matrix(X)
+            for s in range(1, 5):
+                assert close_earlier_are_cliques(certificate_order(X, "facets"), facets, s)
+                assert close_earlier_are_cliques(certificate_order(X, "vertices"),
+                                                 vertices, s + 1)
+
+    def test_walk_on_a_relabelled_tree_is_linear(self):
+        # a tree has one partition into 2 independent blocks; on this
+        # relabelled 100-edge tree the id-order walk does not finish in 30 s
+        X = relabelled(random_stacked(1, 100, 1001), 1)
+        cap = 60 * X.n_vertices
+        count, lines = walk_in_lines(vertex_spec(X, 2, 2),
+                                     certificate_order(X, "vertices"), cap)
+        assert count == 1 and lines <= cap

@@ -302,15 +302,15 @@ class TestStringMaps:
         for X in both_labellings(40):
             Q = random_facet_partition(X, rng)
             P = sc.facet_to_vertex(X, Q)
-            image = facet_to_vertex_string(X, growth_string(Q, X.n_facets))
-            assert image == growth_string(P, X.n_vertices)
+            image = facet_to_vertex_string(X, growth_string(X, Q))
+            assert image == growth_string(X, P)
             pairs = [(g.a, g.b) for g in sc.facet_to_vertex_generators(X, Q)]
             assert string_partition("vertices", image) == \
                 closure("vertices", X.n_vertices, pairs)
 
             back = vertex_to_facet_string(X, image)
             assert back == vertex_to_facet_string(X, image, independent=True)
-            assert back == growth_string(sc.vertex_to_facet(X, P), X.n_facets)
+            assert back == growth_string(X, sc.vertex_to_facet(X, P))
             pairs = [(g.a, g.b) for g in sc.vertex_to_facet_generators(X, P)]
             assert string_partition("facets", back) == \
                 closure("facets", X.n_facets, pairs)
@@ -326,7 +326,7 @@ class TestStringMaps:
                 P = sc.make_partition(
                     "vertices", [[v for v, b in enumerate(labels) if b == k]
                                  for k in set(labels)], range(X.n_vertices))
-                a = growth_string(P, X.n_vertices)
+                a = growth_string(X, P)
                 expected = any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
                 dependent += expected
                 for check in (lambda: sc.vertex_to_facet(X, P),

@@ -227,6 +227,13 @@ class TestDotText:
               for node, c in zip(HEPTAGON_NODES, colors)),
             *HEPTAGON_EDGES)
 
+    def test_quotes_and_backslashes_are_escaped(self):
+        # in a DOT quoted string \" is a quote and \\ one backslash
+        X = sc.build_complex([['a"b', "c"], ["c", "d\\"]])
+        assert export_dot(X) == dot_text(
+            '  "a\\"b";', '  "c";', '  "d\\\\";',
+            '  "a\\"b" -- "c";', '  "c" -- "d\\\\";')
+
     def test_vertex_partition_on_heptagon_message(self, heptagon):
         P = vpart(heptagon, "3 7 | 1 4 6 | 2 | 5")
         with pytest.raises(errors.InputError) as info:
