@@ -9,7 +9,12 @@ import sys
 
 from .complexes import find_stacking_order, stacking_tree
 from .errors import InputError
-from .generators import polygon_triangulations, random_stacked, tree_from_prufer
+from .generators import (
+    polygon_triangulation,
+    random_stacked,
+    tree_from_prufer,
+    triangulation_count,
+)
 from .natline import check_colimit_compatibility, refine_iter, refine_once
 from .oracle import census, enumerate_partitions, facet_spec, vertex_spec, verify_bijection
 from .partitions import facet_to_vertex, vertex_to_facet
@@ -179,14 +184,10 @@ def cmd_gen(args) -> int:
     elif args.shape == "polygon":
         if args.size is None:
             raise InputError("gen polygon needs --size")
-        pool = list(polygon_triangulations(args.size))
+        idx = args.index
         if args.seed is not None:
-            idx = _random.Random(args.seed).randrange(len(pool))
-        else:
-            idx = args.index
-            if not 0 <= idx < len(pool):
-                raise InputError(f"polygon index out of range 0..{len(pool) - 1}")
-        X = pool[idx]
+            idx = _random.Random(args.seed).randrange(triangulation_count(args.size))
+        X = polygon_triangulation(args.size, idx)
     else:
         if args.dim is None or args.count is None:
             raise InputError("gen stacked needs --dim and --count")

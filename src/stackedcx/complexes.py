@@ -8,7 +8,7 @@ original string tokens are kept for display and text round trips.
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateFacetError,
@@ -20,6 +20,7 @@ from .errors import (
 )
 
 _NUMERIC = re.compile(r"[0-9]+\Z")
+ZERO_DIMENSION = "facets must have at least two vertices"
 
 
 def token_sort_key(token: str) -> tuple:
@@ -39,22 +40,34 @@ class StackingOrder:
 
 
 class SimplicialComplex:
-    """A pure complex: facets of equal size d+1 over dense vertex ids."""
+    """A pure complex: facets of equal size d+1 over dense vertex ids.
+
+    The token and facet lookups and the hash are built on first use.
+    """
 
     __slots__ = ("labels", "facets", "facet_tuples", "dim", "_token_ids",
                  "_facet_index", "_hash", "_cache")
 
-    def __init__(self, labels: tuple[str, ...],
-                 facets: tuple[frozenset[int], ...], dim: int):
-        # Internal constructor; use build_complex() for validated input.
+    def __init__(self, labels: tuple[str, ...], facet_tuples: tuple[tuple[int, ...], ...]):
+        # Internal constructor; use build_complex() or complex_from_ids().
         self.labels = labels
-        self.facets = facets
-        self.facet_tuples = tuple(tuple(sorted(f)) for f in facets)
-        self.dim = dim
-        self._token_ids = {tok: i for i, tok in enumerate(labels)}
-        self._facet_index = {f: i for i, f in enumerate(facets)}
-        self._hash = hash((labels, facets))
+        self.facet_tuples = facet_tuples
+        self.facets = tuple(map(frozenset, facet_tuples))
+        self.dim = len(facet_tuples[0]) - 1
+        self._token_ids: dict[str, int] | None = None
+        self._facet_index: dict[frozenset[int], int] | None = None
+        self._hash: int | None = None
         self._cache: dict = {}
+
+    def _ids(self) -> dict[str, int]:
+        if self._token_ids is None:
+            self._token_ids = {tok: i for i, tok in enumerate(self.labels)}
+        return self._token_ids
+
+    def _facet_ids(self) -> dict[frozenset[int], int]:
+        if self._facet_index is None:
+            self._facet_index = {f: i for i, f in enumerate(self.facets)}
+        return self._facet_index
 
     @property
     def n_facets(self) -> int:
@@ -65,11 +78,11 @@ class SimplicialComplex:
         return len(self.labels)
 
     def has_token(self, token: str) -> bool:
-        return token in self._token_ids
+        return token in self._ids()
 
     def id_of(self, token: str) -> int:
         try:
-            return self._token_ids[token]
+            return self._ids()[token]
         except KeyError:
             raise InputError(f"unknown vertex token {token!r}") from None
 
@@ -81,7 +94,7 @@ class SimplicialComplex:
 
     def facet_index(self, vertices: frozenset[int]) -> int:
         try:
-            return self._facet_index[vertices]
+            return self._facet_ids()[vertices]
         except KeyError:
             raise InputError(f"no facet with vertex ids {sorted(vertices)}") from None
 
@@ -90,9 +103,10 @@ class SimplicialComplex:
         vertices = frozenset(map(self.id_of, tokens))
         if len(vertices) != len(tokens):
             raise DuplicateVertexError(f"repeated vertex in facet {','.join(tokens)!r}")
-        if vertices not in self._facet_index:
+        index = self._facet_ids()
+        if vertices not in index:
             raise InputError(f"unknown facet {','.join(tokens)!r}")
-        return self._facet_index[vertices]
+        return index[vertices]
 
     @property
     def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:
@@ -126,6 +140,8 @@ class SimplicialComplex:
         return self.labels == other.labels and self.facets == other.facets
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.labels, self.facets))
         return self._hash
 
     def __repr__(self) -> str:
@@ -157,7 +173,7 @@ def build_complex(facet_list: Iterable[Iterable[str]]) -> SimplicialComplex:
             raise NotPureError(
                 f"facet {tokens} has {len(tokens)} vertices, expected {size}")
     if size < 2:
-        raise ZeroDimensionError("facets must have at least two vertices")
+        raise ZeroDimensionError(ZERO_DIMENSION)
 
     seen: set[frozenset[str]] = set()
     for tokens in raw:
@@ -165,13 +181,25 @@ def build_complex(facet_list: Iterable[Iterable[str]]) -> SimplicialComplex:
         if key in seen:
             raise DuplicateFacetError(f"facet {sorted(tokens)} appears twice")
         seen.add(key)
+    return canonical_complex(raw)
 
-    labels = tuple(sorted({tok for tokens in raw for tok in tokens},
+
+def canonical_complex(facet_list: Sequence[Sequence[str]]) -> SimplicialComplex:
+    """The complex of validated token lists: vertex tokens get dense ids in
+    canonical token order.  Nothing is checked here."""
+    labels = tuple(sorted({tok for tokens in facet_list for tok in tokens},
                           key=token_sort_key))
-    ids = {tok: i for i, tok in enumerate(labels)}
-    facet_sets = sorted((tuple(sorted(ids[t] for t in tokens)) for tokens in raw))
-    facets = tuple(frozenset(f) for f in facet_sets)
-    return SimplicialComplex(labels, facets, size - 1)
+    ids = {tok: i for i, tok in enumerate(labels)}.__getitem__
+    return complex_from_ids(labels, [tuple(sorted(map(ids, tokens))) for tokens in facet_list])
+
+
+def complex_from_ids(labels: tuple[str, ...],
+                     facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
+    """The complex :func:`build_complex` returns for the tokens of these
+    facets, built from ids: ``labels`` are in canonical token order, each
+    facet is a sorted tuple of ids, and nothing is validated.  Facets are
+    stored sorted, so any facet order gives the same complex."""
+    return SimplicialComplex(labels, tuple(sorted(facets)))
 
 
 def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
@@ -198,61 +226,42 @@ def subcomplex(X: SimplicialComplex, facet_indices: Iterable[int]) -> Simplicial
 class StackingTree:
     """The facet-ridge incidence graph, a tree exactly when X is stacked.
 
-    Nodes ``0..n-1`` are the facets and nodes ``n..`` the codimension-one
-    faces in ``ridges`` order; an edge joins each facet to its d + 1
-    ridges.  A facet lists its ridges in ``combinations`` order and a
-    ridge its facets in ascending order.
-
     ``order`` lists the facets as the breadth-first sweep from facet 0
-    reaches them, so the children of each facet form one contiguous run
-    of it.  A reached facet c > 0 has ``up[c]``, the facet p across its
-    parent ridge, ``free[c]`` = c - p, ``port[c]`` = p - c and
-    ``depth[c]``, its facet distance from facet 0; the root's entries are
-    0.
+    reaches them: each facet visits its ridges in ``combinations`` order,
+    and each ridge its facets in ascending order, so the children of each
+    facet form one contiguous run of it.  A reached facet c > 0 has
+    ``up[c]``, the facet p across its parent ridge, ``free[c]`` = c - p,
+    ``port[c]`` = p - c and ``depth[c]``, its facet distance from facet 0;
+    the root's entries are 0.  The sweep stops where it would reach a
+    facet twice, as the graph has a cycle there; when |V| = n + d, that
+    means X is not connected, and ``order`` is short.  The incidence
+    graph itself is built only for the sweeps that :mod:`paths` reads
+    distances off.
     """
 
-    __slots__ = ("ridges", "adjacency", "order", "up", "free", "port", "depth")
+    __slots__ = ("order", "up", "free", "port", "depth")
 
     def __init__(self, X: SimplicialComplex):
         index = X.codim1_faces
         n = X.n_facets
-        self.ridges = tuple(index)
-        node = {ridge: r for r, ridge in enumerate(self.ridges, n)}
-        self.adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
-                          for facet in X.facet_tuples]
-        self.adjacency.extend(index.values())
-
-        reached_from = [-1] * len(self.adjacency)
-        reached_from[0] = 0
-        nodes = [0]
-        for u in nodes:
-            for w in self.adjacency[u]:
-                if reached_from[w] < 0:
-                    reached_from[w] = u
-                    nodes.append(w)
-        self.order = [u for u in nodes if u < n]
-        self.up, self.free, self.port, self.depth = ([0] * n for _ in range(4))
-        for c in self.order[1:]:
-            p = self.up[c] = reached_from[reached_from[c]]
-            (self.free[c],) = X.facets[c] - X.facets[p]
-            (self.port[c],) = X.facets[p] - X.facets[c]
-            self.depth[c] = self.depth[p] + 1
-
-    def sweep(self, sources: Iterable[int]) -> list[int]:
-        """Breadth-first search from the given nodes, all at depth 0: each
-        node's depth, -1 for nodes it does not reach.  A facet's depth is
-        twice its facet distance to the nearest source facet."""
-        depth = [-1] * len(self.adjacency)
-        nodes = list(sources)
-        for u in nodes:
-            depth[u] = 0
-        for u in nodes:
-            below = depth[u] + 1
-            for w in self.adjacency[u]:
-                if depth[w] < 0:
-                    depth[w] = below
-                    nodes.append(w)
-        return depth
+        order, up, free, port, depth = self.order, self.up, self.free, self.port, self.depth = (
+            [0], *([0] * n for _ in range(4)))
+        seen = [False] * n
+        seen[0] = True
+        facets, tuples = X.facets, X.facet_tuples
+        for u in order:
+            for x in reversed(tuples[u]):  # ridges in combinations order
+                if u and x == free[u]:  # the ridge u was reached across
+                    continue
+                for w in index[facets[u] - {x}]:
+                    if w == u:
+                        continue
+                    if seen[w]:  # a second way to w
+                        return
+                    seen[w] = True
+                    order.append(w)
+                    up[w], port[w], depth[w] = u, x, depth[u] + 1
+                    (free[w],) = facets[w] - facets[u]
 
 
 def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
@@ -263,7 +272,7 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     sweep from facet 0: each facet after the first is reached through a
     ridge of an earlier one, so it adds at most one vertex; |V| = n + d
     forces exactly one, its free vertex.  The tree is cached with the
-    certificate, so it is built once per complex.
+    certificate, so it is built once per complex, on first use.
     """
     if "stacking_order" in X._cache:
         return X._cache["stacking_order"]

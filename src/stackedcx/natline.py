@@ -11,7 +11,7 @@ Prefix partitions are validated by :func:`partitions.make_partition`.
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import SimplicialComplex, build_complex
+from .complexes import SimplicialComplex, complex_from_ids
 from .errors import InputError
 from .partitions import Partition, facet_to_vertex, make_partition
 
@@ -45,18 +45,23 @@ def make_prefix_partition(n: int,
 
 
 def line_graph(n: int) -> SimplicialComplex:
-    """The tree with edges {i, i+1} for i = 1..n."""
+    """The tree with edges {i, i+1} for i = 1..n, equal to the complex
+    :func:`complexes.build_complex` makes of them, built from ids with no
+    token parsing.  Integer k is vertex k - 1 and edge i is facet i - 1.
+    """
     if n < 1:
         raise InputError("line graph needs at least one edge")
-    return build_complex([(str(i), str(i + 1)) for i in range(1, n + 1)])
+    return complex_from_ids(tuple(map(str, range(1, n + 2))),
+                            zip(range(n), range(1, n + 1)))
 
 
 def refine_once(P: PrefixPartition) -> PrefixPartition:
     """One refinement step: read [1..n] as edges of L_n, map to the vertex
     partition, and read vertices back as [1..n+1].
 
-    Numeric tokens get dense ids in value order, so edge i of L_n is facet
-    i - 1 and integer k is vertex k - 1.
+    Edge i of L_n is facet i - 1 and integer k is vertex k - 1
+    (:func:`line_graph`), so the blocks need no token lookups; the step is
+    O(n): L_n, its stacking tree and the map's pass over that tree.
     """
     X = line_graph(P.n)
     Q = Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))

@@ -31,7 +31,7 @@ from typing import Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
-from .paths import end_vertices, face_path, facet_distance, facet_path, vertex_distance
+from .paths import end_vertices, face_path, facet_distance_row, facet_path, vertex_distance_row
 
 GroundKind = Literal["vertices", "facets", "integers"]
 
@@ -96,17 +96,27 @@ def restrict_partition(P: Partition, keep: Iterable[int]) -> Partition:
 def is_scattered(X: SimplicialComplex, members: Iterable[int], s: int,
                  kind: GroundKind) -> bool:
     """True iff all distinct pairs are at distance >= s (vacuous on
-    singletons; every set is 1-scattered)."""
+    singletons; every set is 1-scattered).  The distances are read off
+    one stacking-tree sweep per member but the last, or off the rows of
+    the distance matrix when the enumerator has built it."""
     if s < 1:
         raise InputError("scatter must be >= 1")
-    items = sorted(set(members))
     if kind == "vertices":
-        dist = vertex_distance
+        row, size, noun = vertex_distance_row, X.n_vertices, "vertex"
+        matrix = X._cache.get("vertex_dist_matrix")
     elif kind == "facets":
-        dist = facet_distance
+        row, size, noun = facet_distance_row, X.n_facets, "facet"
+        matrix = X._cache.get("facet_dist_matrix")
     else:
         raise InputError(f"unknown ground kind {kind!r}")
-    return all(dist(X, a, b) >= s for a, b in combinations(items, 2))
+    items = sorted(set(members))
+    if items and not 0 <= items[0] <= items[-1] < size:
+        raise InputError(f"{noun} index outside 0..{size - 1}")
+    for i, a in enumerate(items[:-1]):
+        dist = row(X, a) if matrix is None else matrix[a]
+        if any(dist[b] < s for b in items[i + 1:]):
+            return False
+    return True
 
 
 def _index_cover(P: Partition, kind: GroundKind, size: int) -> list[int]:

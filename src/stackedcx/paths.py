@@ -11,12 +11,15 @@ complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
-The two all-pairs distance matrices, which only the capped enumerator
-reads, take one breadth-first sweep of the tree per facet or vertex: a
-facet lies twice its facet distance deep in a sweep from another facet.
+A distance row, all distances from one facet or vertex, is one
+breadth-first sweep of the tree: a facet lies twice its facet distance
+deep in a sweep from another facet.  :func:`partitions.is_scattered`
+reads rows, and the two all-pairs matrices, which only the capped
+enumerator reads, take one row per facet or vertex.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, stacking_tree
@@ -205,25 +208,67 @@ def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
     return len(facet_path(X, f, g)) - 1
 
 
-def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All vertex distances, one sweep from each vertex's facets.
+def _incidence(X: SimplicialComplex) -> tuple[tuple[frozenset[int], ...], list[list[int]]]:
+    """The stacking tree as a graph, built on first use: nodes 0..n-1 are
+    the facets and nodes n.. the ridges, in the order returned with the
+    adjacency lists; a facet lists its ridges in ``combinations`` order
+    and a ridge its facets in ascending order."""
+    graph = X._cache.get("incidence")
+    if graph is None:
+        index = X.codim1_faces
+        node = {ridge: r for r, ridge in enumerate(index, X.n_facets)}
+        adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
+                     for facet in X.facet_tuples]
+        adjacency.extend(index.values())
+        graph = X._cache["incidence"] = (tuple(index), adjacency)
+    return graph
+
+
+def _sweep(X: SimplicialComplex, sources: Iterable[int]) -> list[int]:
+    """Breadth-first search of the stacking tree from the given nodes, all
+    at depth 0: each node's depth, -1 for nodes it does not reach.  A
+    facet's depth is twice its facet distance to the nearest source
+    facet."""
+    stacking_tree(X)  # raises unless X is stacked
+    adjacency = _incidence(X)[1]
+    depth = [-1] * len(adjacency)
+    nodes = list(sources)
+    for u in nodes:
+        depth[u] = 0
+    for u in nodes:
+        below = depth[u] + 1
+        for w in adjacency[u]:
+            if depth[w] < 0:
+                depth[w] = below
+                nodes.append(w)
+    return depth
+
+
+def vertex_distance_row(X: SimplicialComplex, v: int) -> list[int]:
+    """The distances from vertex v to every vertex, from one sweep.
 
     The facets of a vertex form a subtree, so the face path of an
     independent pair (v, w) is the tree path between their two subtrees,
     and its facet count is one more than the least facet distance from a
     facet of v to one of w; for facet mates that distance is 0.
     """
+    stars = X.vertex_facets
+    depth = _sweep(X, stars[v])
+    row = [1 + min(map(depth.__getitem__, other)) // 2 for other in stars]
+    row[v] = 0
+    return row
+
+
+def facet_distance_row(X: SimplicialComplex, f: int) -> list[int]:
+    """The distances from facet f to every facet, from one sweep."""
+    return [d >> 1 for d in _sweep(X, (f,))[:X.n_facets]]
+
+
+def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """All vertex distances, one :func:`vertex_distance_row` per vertex."""
     matrix = X._cache.get("vertex_dist_matrix")
     if matrix is None:
-        tree = stacking_tree(X)
-        stars = X.vertex_facets
-        rows = []
-        for v, star in enumerate(stars):
-            depth = tree.sweep(star)
-            row = [1 + min(map(depth.__getitem__, other)) // 2 for other in stars]
-            row[v] = 0
-            rows.append(tuple(row))
-        matrix = tuple(rows)
+        matrix = tuple(tuple(vertex_distance_row(X, v)) for v in range(X.n_vertices))
         X._cache["vertex_dist_matrix"] = matrix
     return matrix
 
@@ -232,10 +277,7 @@ def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """All facet distances, one sweep from each facet."""
     matrix = X._cache.get("facet_dist_matrix")
     if matrix is None:
-        tree = stacking_tree(X)
-        n = X.n_facets
-        matrix = tuple(tuple(d >> 1 for d in tree.sweep((f,))[:n])
-                       for f in range(n))
+        matrix = tuple(tuple(facet_distance_row(X, f)) for f in range(X.n_facets))
         X._cache["facet_dist_matrix"] = matrix
     return matrix
 
@@ -281,8 +323,7 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     if m == 0:
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
-    tree = stacking_tree(X)
-    depth = tree.sweep((X.n_facets + tree.ridges.index(g),))
+    depth = _sweep(X, (X.n_facets + _incidence(X)[0].index(g),))
     facets_m = tuple(f for f in range(X.n_facets) if depth[f] < 2 * m)
     vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
     if m == 1:

@@ -7,7 +7,13 @@ facet written as its vertex tokens joined by commas.  Lines starting with
 leading byte-order mark is dropped.
 """
 
-from .complexes import _NUMERIC, SimplicialComplex, build_complex, dual_adjacency
+from .complexes import (
+    _NUMERIC,
+    ZERO_DIMENSION,
+    SimplicialComplex,
+    canonical_complex,
+    dual_adjacency,
+)
 from .errors import (
     DuplicateFacetError,
     DuplicateVertexError,
@@ -17,6 +23,7 @@ from .errors import (
     NotPureError,
     OverlapError,
     UnknownTokenError,
+    ZeroDimensionError,
 )
 from .natline import PrefixPartition, make_prefix_partition
 from .partitions import Partition, make_partition
@@ -36,7 +43,9 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def parse_complex(text: str) -> SimplicialComplex:
-    """Parse the complex text format; errors carry the offending line."""
+    """Parse the complex text format; errors carry the offending line.
+    Split tokens are valid vertex tokens, so these checks are all that
+    :func:`complexes.build_complex` would make."""
     entries = _content_lines(text)
     if not entries:
         raise EmptyInputError("no facets in input")
@@ -54,7 +63,9 @@ def parse_complex(text: str) -> SimplicialComplex:
             raise DuplicateFacetError(
                 f"line {ln}: facet already given on line {seen[key]}")
         seen[key] = ln
-    return build_complex([tokens for _, tokens in entries])
+    if len(first) < 2:
+        raise ZeroDimensionError(ZERO_DIMENSION)
+    return canonical_complex([tokens for _, tokens in entries])
 
 
 def emit_complex(X: SimplicialComplex) -> str:

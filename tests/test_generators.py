@@ -5,7 +5,13 @@ import pytest
 
 import stackedcx as sc
 from stackedcx import errors
-from stackedcx.generators import all_trees, polygon_triangulations, random_stacked
+from stackedcx.generators import (
+    all_trees,
+    polygon_triangulation,
+    polygon_triangulations,
+    random_stacked,
+    triangulation_count,
+)
 from stackedcx.textio import emit_complex
 
 
@@ -49,6 +55,21 @@ class TestPolygonTriangulations:
             next(polygon_triangulations(2))
         with pytest.raises(errors.InputError):
             next(polygon_triangulations(11))
+
+    def test_one_by_index(self):
+        pool = list(polygon_triangulations(7))
+        assert triangulation_count(7) == 42
+        assert [polygon_triangulation(7, i) for i in range(42)] == pool
+        pool = list(polygon_triangulations(10))
+        assert triangulation_count(10) == len(pool) == 1430
+        assert polygon_triangulation(10, 0) == pool[0]
+        assert polygon_triangulation(10, 1429) == pool[-1]
+        for index in (-1, 1430):
+            with pytest.raises(errors.InputError, match=r"out of range 0\.\.1429"):
+                polygon_triangulation(10, index)
+        for k in (2, 11):
+            with pytest.raises(errors.InputError):
+                triangulation_count(k)
 
 
 class TestRandomStacked:

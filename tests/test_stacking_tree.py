@@ -3,6 +3,7 @@ slow definitions (dual-graph walks reduced by ``reduce_walk``, all-facet
 scans, and the closure of the generator pairs)."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,27 @@ def test_maps_are_closures_of_generators(X, seed):
     P = random_independent_partition(X, rng)
     pairs = [(p.a, p.b) for p in sc.vertex_to_facet_generators(X, P)]
     assert sc.vertex_to_facet(X, P) == closure("facets", X.n_facets, pairs)
+
+
+@given(stackings, st.integers(0, 10**6), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_is_scattered_matches_pairwise_distances(X, seed, s):
+    rng = random.Random(seed)
+    cases = []
+    for kind, size, dist in (("vertices", X.n_vertices, sc.vertex_distance),
+                             ("facets", X.n_facets, sc.facet_distance)):
+        members = []
+        for e in rng.sample(range(size), size):  # greedily scattered, or not
+            if rng.random() < 0.2 or all(dist(X, e, m) >= s for m in members):
+                members.append(e)
+        expected = all(dist(X, a, b) >= s for a, b in combinations(members, 2))
+        cases.append((kind, members, expected))
+    for build_matrices in (False, True):  # sweeps, then the matrices' rows
+        if build_matrices:
+            paths.vertex_distance_matrix(X)
+            paths.facet_distance_matrix(X)
+        for kind, members, expected in cases:
+            assert sc.is_scattered(X, members, s, kind) == expected
 
 
 def test_paths_on_a_complex_that_is_not_stacked_raise():
