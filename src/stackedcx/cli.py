@@ -52,12 +52,14 @@ def _read(path: str) -> str:
     return text
 
 
-def _load_complex(path: str):
-    return parse_complex(_read(path))
+def _load_stacked(path: str):
+    X = parse_complex(_read(path))
+    stacking_tree(X)  # "complex is not stacked" before any other argument is read
+    return X
 
 
 def cmd_check(args) -> int:
-    X = _load_complex(args.complex)
+    X = parse_complex(_read(args.complex))
     cert = find_stacking_order(X)
     print(f"dimension={X.dim}")
     print(f"facets={X.n_facets}")
@@ -79,8 +81,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_path(args) -> int:
-    X = _load_complex(args.complex)
-    stacking_tree(X)
+    X = _load_stacked(args.complex)
     if args.facets:
         f = X.facet_from_tokens(args.facets[0].split(","))
         g = X.facet_from_tokens(args.facets[1].split(","))
@@ -103,8 +104,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_map(args) -> int:
-    X = _load_complex(args.complex)
-    stacking_tree(X)
+    X = _load_stacked(args.complex)
     text = _read(args.partition)
     if args.direction == "v2f":
         result = vertex_to_facet(X, parse_vertex_partition(text, X))
@@ -115,8 +115,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    X = _load_complex(args.complex)
-    stacking_tree(X)
+    X = _load_stacked(args.complex)
     spec = (vertex_spec if args.kind == "vertices" else facet_spec)(X, args.r, args.s)
     for P in enumerate_partitions(spec):
         print(format_partition_line(P, X))
@@ -124,8 +123,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    X = _load_complex(args.complex)
-    stacking_tree(X)
+    X = _load_stacked(args.complex)
     report = verify_bijection(X, args.r, args.s)
     for line in report.lines():
         print(line)
@@ -136,8 +134,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
-    X = _load_complex(args.complex)
-    stacking_tree(X)
+    X = _load_stacked(args.complex)
     report = census(X)
     for line in report.lines():
         print(line)
@@ -197,7 +194,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    X = _load_complex(args.complex)
+    X = parse_complex(_read(args.complex))
     partition = None
     if args.partition is not None:
         text = _read(args.partition)

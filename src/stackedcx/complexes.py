@@ -7,6 +7,7 @@ original string tokens are kept for display and text round trips.
 
 import re
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -30,6 +31,25 @@ def token_sort_key(token: str) -> tuple:
     return (1, 0, token)
 
 
+def derived(build):
+    """Memoise ``build(X, *args)`` per complex X, under ``build`` itself
+    when there are no further arguments and under ``(build, args)``
+    otherwise.  Everything a complex derives lazily is kept this way, in
+    its one memo; ``.built(X, *args)`` tells whether the value is built."""
+    @wraps(build)
+    def get(X, *args):
+        key = (build, args) if args else build
+        try:
+            return X._cache[key]
+        except KeyError:
+            pass  # built outside the handler, so its errors chain nothing
+        value = X._cache[key] = build(X, *args)
+        return value
+
+    get.built = lambda X, *args: ((build, args) if args else build) in X._cache
+    return get
+
+
 @dataclass(frozen=True)
 class StackingOrder:
     """Certificate of stackedness: a facet ordering plus the vertex each
@@ -42,11 +62,11 @@ class StackingOrder:
 class SimplicialComplex:
     """A pure complex: facets of equal size d+1 over dense vertex ids.
 
-    The token and facet lookups and the hash are built on first use.
+    The token and facet lookups, the hash and everything else derived
+    from the facets are built on first use, through :func:`derived`.
     """
 
-    __slots__ = ("labels", "facets", "facet_tuples", "dim", "_token_ids",
-                 "_facet_index", "_hash", "_cache")
+    __slots__ = ("labels", "facets", "facet_tuples", "dim", "_cache")
 
     def __init__(self, labels: tuple[str, ...], facet_tuples: tuple[tuple[int, ...], ...]):
         # Internal constructor; use build_complex() or complex_from_ids().
@@ -54,20 +74,15 @@ class SimplicialComplex:
         self.facet_tuples = facet_tuples
         self.facets = tuple(map(frozenset, facet_tuples))
         self.dim = len(facet_tuples[0]) - 1
-        self._token_ids: dict[str, int] | None = None
-        self._facet_index: dict[frozenset[int], int] | None = None
-        self._hash: int | None = None
-        self._cache: dict = {}
+        self._cache: dict = {}  # the memo of derived()
 
+    @derived
     def _ids(self) -> dict[str, int]:
-        if self._token_ids is None:
-            self._token_ids = {tok: i for i, tok in enumerate(self.labels)}
-        return self._token_ids
+        return {tok: i for i, tok in enumerate(self.labels)}
 
+    @derived
     def _facet_ids(self) -> dict[frozenset[int], int]:
-        if self._facet_index is None:
-            self._facet_index = {f: i for i, f in enumerate(self.facets)}
-        return self._facet_index
+        return {f: i for i, f in enumerate(self.facets)}
 
     @property
     def n_facets(self) -> int:
@@ -76,9 +91,6 @@ class SimplicialComplex:
     @property
     def n_vertices(self) -> int:
         return len(self.labels)
-
-    def has_token(self, token: str) -> bool:
-        return token in self._ids()
 
     def id_of(self, token: str) -> int:
         try:
@@ -92,12 +104,6 @@ class SimplicialComplex:
     def facet_tokens(self, i: int) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in self.facet_tuples[i])
 
-    def facet_index(self, vertices: frozenset[int]) -> int:
-        try:
-            return self._facet_ids()[vertices]
-        except KeyError:
-            raise InputError(f"no facet with vertex ids {sorted(vertices)}") from None
-
     def facet_from_tokens(self, tokens: Iterable[str]) -> int:
         tokens = list(tokens)
         vertices = frozenset(map(self.id_of, tokens))
@@ -109,40 +115,33 @@ class SimplicialComplex:
         return index[vertices]
 
     @property
+    @derived
     def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:
         """Every codimension-one face mapped to the facets containing it."""
-        index = self._cache.get("codim1_faces")
-        if index is None:
-            index = {}
-            for i, facet in enumerate(self.facet_tuples):
-                for face in combinations(facet, self.dim):
-                    index.setdefault(frozenset(face), []).append(i)
-            index = {face: tuple(fs) for face, fs in index.items()}
-            self._cache["codim1_faces"] = index
-        return index
+        index: dict[frozenset[int], list[int]] = {}
+        for i, facet in enumerate(self.facet_tuples):
+            for face in combinations(facet, self.dim):
+                index.setdefault(frozenset(face), []).append(i)
+        return {face: tuple(fs) for face, fs in index.items()}
 
     @property
+    @derived
     def vertex_facets(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex id, the facets containing it."""
-        table = self._cache.get("vertex_facets")
-        if table is None:
-            lists: list[list[int]] = [[] for _ in self.labels]
-            for i, facet in enumerate(self.facet_tuples):
-                for v in facet:
-                    lists[v].append(i)
-            table = tuple(tuple(fs) for fs in lists)
-            self._cache["vertex_facets"] = table
-        return table
+        lists: list[list[int]] = [[] for _ in self.labels]
+        for i, facet in enumerate(self.facet_tuples):
+            for v in facet:
+                lists[v].append(i)
+        return tuple(map(tuple, lists))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
         return self.labels == other.labels and self.facets == other.facets
 
+    @derived
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.labels, self.facets))
-        return self._hash
+        return hash((self.labels, self.facets))
 
     def __repr__(self) -> str:
         return (f"SimplicialComplex(dim={self.dim}, facets={self.n_facets}, "
@@ -235,8 +234,9 @@ class StackingTree:
     the root's entries are 0.  The sweep stops where it would reach a
     facet twice, as the graph has a cycle there; when |V| = n + d, that
     means X is not connected, and ``order`` is short.  The incidence
-    graph itself is built only for the sweeps that :mod:`paths` reads
-    distances off.
+    graph that :mod:`paths` sweeps for distances is built from these
+    arrays, one ridge node per run of equal (``up``, ``port``) in
+    ``order``.
     """
 
     __slots__ = ("order", "up", "free", "port", "depth")
@@ -264,6 +264,7 @@ class StackingTree:
                     (free[w],) = facets[w] - facets[u]
 
 
+@derived
 def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     """A stacking order, or None when none exists.
 
@@ -271,27 +272,26 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     through codimension-one faces.  The certificate is the stacking tree's
     sweep from facet 0: each facet after the first is reached through a
     ridge of an earlier one, so it adds at most one vertex; |V| = n + d
-    forces exactly one, its free vertex.  The tree is cached with the
+    forces exactly one, its free vertex.  The tree is kept beside the
     certificate, so it is built once per complex, on first use.
     """
-    if "stacking_order" in X._cache:
-        return X._cache["stacking_order"]
-    result = None
     if X.n_vertices == X.n_facets + X.dim:
-        tree = StackingTree(X)
+        tree = _tree(X)
         if len(tree.order) == X.n_facets:
-            free = tuple(tree.free[c] for c in tree.order[1:])
-            result = StackingOrder(order=tuple(tree.order), free_vertices=free)
-            X._cache["stacking_tree"] = tree
-    X._cache["stacking_order"] = result
-    return result
+            return StackingOrder(tuple(tree.order), tuple(tree.free[c] for c in tree.order[1:]))
+    return None
+
+
+@derived
+def _tree(X: SimplicialComplex) -> StackingTree:
+    return StackingTree(X)
 
 
 def stacking_tree(X: SimplicialComplex) -> StackingTree:
     """The stacking tree of X, built with its stacking certificate."""
     if find_stacking_order(X) is None:
         raise InputError("complex is not stacked")
-    return X._cache["stacking_tree"]
+    return _tree(X)
 
 
 def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:

@@ -29,9 +29,10 @@ from itertools import combinations
 from operator import eq
 from typing import Iterable, Literal, Sequence
 
-from .complexes import SimplicialComplex, stacking_tree
+from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
-from .paths import end_vertices, face_path, facet_distance_row, facet_path, vertex_distance_row
+from .paths import (end_vertices, face_path, facet_distance_matrix, facet_distance_row,
+                    facet_path, vertex_distance_matrix, vertex_distance_row)
 
 GroundKind = Literal["vertices", "facets", "integers"]
 
@@ -102,18 +103,18 @@ def is_scattered(X: SimplicialComplex, members: Iterable[int], s: int,
     if s < 1:
         raise InputError("scatter must be >= 1")
     if kind == "vertices":
-        row, size, noun = vertex_distance_row, X.n_vertices, "vertex"
-        matrix = X._cache.get("vertex_dist_matrix")
+        row, matrix, size, noun = (vertex_distance_row, vertex_distance_matrix,
+                                   X.n_vertices, "vertex")
     elif kind == "facets":
-        row, size, noun = facet_distance_row, X.n_facets, "facet"
-        matrix = X._cache.get("facet_dist_matrix")
+        row, matrix, size, noun = facet_distance_row, facet_distance_matrix, X.n_facets, "facet"
     else:
         raise InputError(f"unknown ground kind {kind!r}")
     items = sorted(set(members))
     if items and not 0 <= items[0] <= items[-1] < size:
         raise InputError(f"{noun} index outside 0..{size - 1}")
+    rows = matrix(X) if matrix.built(X) else None
     for i, a in enumerate(items[:-1]):
-        dist = row(X, a) if matrix is None else matrix[a]
+        dist = row(X, a) if rows is None else rows[a]
         if any(dist[b] < s for b in items[i + 1:]):
             return False
     return True
@@ -145,6 +146,7 @@ def certificate_order(X: SimplicialComplex, kind: GroundKind) -> list[int]:
     return [*X.facet_tuples[0], *map(tree.free.__getitem__, tree.order[1:])]
 
 
+@derived
 def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     """The pass of :func:`_label` that labels the facets or the vertices of
     X, built once per complex and kind: a step (slot of p's row, slot of
@@ -153,26 +155,22 @@ def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     labelled 0, 1, ...; their count; the number of facets.  c's slot is
     -1 when c has no children, p's when c is p's last child, else c.
     """
-    key = f"{kind}_pass"
-    plan = X._cache.get(key)
-    if plan is None:
-        tree = stacking_tree(X)
-        order, up, port, free = tree.order, tree.up, tree.port, tree.free
-        n = X.n_facets
-        last = {up[c]: c for c in order[1:]}  # each parent's last child
-        slot = [0] * n
-        steps = []
-        for c in order[1:]:
-            p = up[c]
-            slot[c] = -1 if c not in last else slot[p] if last[p] == c else c
-            ends = (p, port[c], c, free[c]) if kind == "vertices" else (port[c], p, free[c], c)
-            steps.append((slot[p], slot[c], *ends))
-        roots = X.facet_tuples[0] if kind == "vertices" else (0,)
-        label = [-1] * (X.n_vertices if kind == "vertices" else n)
-        for i, e in enumerate(roots):
-            label[e] = i
-        plan = X._cache[key] = (steps, label, len(roots), n)
-    return plan
+    tree = stacking_tree(X)
+    order, up, port, free = tree.order, tree.up, tree.port, tree.free
+    n = X.n_facets
+    last = {up[c]: c for c in order[1:]}  # each parent's last child
+    slot = [0] * n
+    steps = []
+    for c in order[1:]:
+        p = up[c]
+        slot[c] = -1 if c not in last else slot[p] if last[p] == c else c
+        ends = (p, port[c], c, free[c]) if kind == "vertices" else (port[c], p, free[c], c)
+        steps.append((slot[p], slot[c], *ends))
+    roots = X.facet_tuples[0] if kind == "vertices" else (0,)
+    label = [-1] * (X.n_vertices if kind == "vertices" else n)
+    for i, e in enumerate(roots):
+        label[e] = i
+    return steps, label, len(roots), n
 
 
 def _label(plan: tuple, block_of: Sequence[int]) -> list[int]:
@@ -256,23 +254,21 @@ def _blocks(label: list[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(map(tuple, blocks)))
 
 
+@derived
 def _edge_ends(X: SimplicialComplex) -> tuple[list[int], list[int]]:
     """The edges of a stacked complex as two endpoint arrays: the pairs of
     facet 0, then (free[c], u) for each other vertex u of each other facet
     c.  A pair of c's vertices that avoids free[c] lies in c's parent
     ridge, so in its parent facet, and is listed higher up the tree."""
-    ends = X._cache.get("edge_ends")
-    if ends is None:
-        tree = stacking_tree(X)
-        tails, heads = (list(e) for e in zip(*combinations(X.facet_tuples[0], 2)))
-        for c in tree.order[1:]:
-            v = tree.free[c]
-            for u in X.facet_tuples[c]:
-                if u != v:
-                    tails.append(v)
-                    heads.append(u)
-        ends = X._cache["edge_ends"] = (tails, heads)
-    return ends
+    tree = stacking_tree(X)
+    tails, heads = (list(e) for e in zip(*combinations(X.facet_tuples[0], 2)))
+    for c in tree.order[1:]:
+        v = tree.free[c]
+        for u in X.facet_tuples[c]:
+            if u != v:
+                tails.append(v)
+                heads.append(u)
+    return tails, heads
 
 
 def _check_independent(X: SimplicialComplex, block_of: Sequence[int]) -> None:

@@ -12,17 +12,17 @@ works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
 A distance row, all distances from one facet or vertex, is one
-breadth-first sweep of the tree: a facet lies twice its facet distance
-deep in a sweep from another facet.  :func:`partitions.is_scattered`
-reads rows, and the two all-pairs matrices, which only the capped
-enumerator reads, take one row per facet or vertex.
+breadth-first sweep of the tree, as a graph built from the same arrays:
+a facet lies twice its facet distance deep in a sweep from another
+facet.  :func:`partitions.is_scattered` reads rows, and the two all-pairs
+matrices, which only the capped enumerator reads, take one row per facet
+or vertex.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, stacking_tree
+from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import (
     InputError,
     NotAFaceError,
@@ -208,29 +208,33 @@ def facet_distance(X: SimplicialComplex, f: int, g: int) -> int:
     return len(facet_path(X, f, g)) - 1
 
 
-def _incidence(X: SimplicialComplex) -> tuple[tuple[frozenset[int], ...], list[list[int]]]:
-    """The stacking tree as a graph, built on first use: nodes 0..n-1 are
-    the facets and nodes n.. the ridges, in the order returned with the
-    adjacency lists; a facet lists its ridges in ``combinations`` order
-    and a ridge its facets in ascending order."""
-    graph = X._cache.get("incidence")
-    if graph is None:
-        index = X.codim1_faces
-        node = {ridge: r for r, ridge in enumerate(index, X.n_facets)}
-        adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
-                     for facet in X.facet_tuples]
-        adjacency.extend(index.values())
-        graph = X._cache["incidence"] = (tuple(index), adjacency)
-    return graph
+@derived
+def _incidence(X: SimplicialComplex) -> list[list[int]]:
+    """The stacking tree as a graph, from its arrays: nodes 0..n-1 are the
+    facets, and each run of equal (``up``, ``port``) in ``order`` is one
+    ridge node, joined to its parent facet and its children: a facet's
+    children form one run, those across one ridge listed together with one
+    port.  Ridges in one facet get no node; no sweep from facets needs them."""
+    tree = stacking_tree(X)
+    up, port = tree.up, tree.port
+    adjacency: list[list[int]] = [[] for _ in range(X.n_facets)]
+    ridge = None
+    for c in tree.order[1:]:
+        if (up[c], port[c]) != ridge:
+            ridge = up[c], port[c]
+            r = len(adjacency)
+            adjacency.append([up[c]])
+            adjacency[up[c]].append(r)
+        adjacency[r].append(c)
+        adjacency[c].append(r)
+    return adjacency
 
 
 def _sweep(X: SimplicialComplex, sources: Iterable[int]) -> list[int]:
-    """Breadth-first search of the stacking tree from the given nodes, all
-    at depth 0: each node's depth, -1 for nodes it does not reach.  A
-    facet's depth is twice its facet distance to the nearest source
-    facet."""
-    stacking_tree(X)  # raises unless X is stacked
-    adjacency = _incidence(X)[1]
+    """Breadth-first search of the stacking tree from the given facets,
+    all at depth 0: each node's depth.  A facet's depth is twice its facet
+    distance to the nearest source."""
+    adjacency = _incidence(X)
     depth = [-1] * len(adjacency)
     nodes = list(sources)
     for u in nodes:
@@ -264,22 +268,16 @@ def facet_distance_row(X: SimplicialComplex, f: int) -> list[int]:
     return [d >> 1 for d in _sweep(X, (f,))[:X.n_facets]]
 
 
+@derived
 def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """All vertex distances, one :func:`vertex_distance_row` per vertex."""
-    matrix = X._cache.get("vertex_dist_matrix")
-    if matrix is None:
-        matrix = tuple(tuple(vertex_distance_row(X, v)) for v in range(X.n_vertices))
-        X._cache["vertex_dist_matrix"] = matrix
-    return matrix
+    return tuple(tuple(vertex_distance_row(X, v)) for v in range(X.n_vertices))
 
 
+@derived
 def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """All facet distances, one sweep from each facet."""
-    matrix = X._cache.get("facet_dist_matrix")
-    if matrix is None:
-        matrix = tuple(tuple(facet_distance_row(X, f)) for f in range(X.n_facets))
-        X._cache["facet_dist_matrix"] = matrix
-    return matrix
+    return tuple(tuple(facet_distance_row(X, f)) for f in range(X.n_facets))
 
 
 @dataclass(frozen=True)
@@ -306,16 +304,19 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     """The neighborhood of facets whose distance to g is at most m.
 
     At m = 0 the facet set is empty and the vertex set is g itself.  One
-    stacking-tree sweep from g's ridge node: a facet at wall distance k
-    lies 2k - 1 deep, so level m holds the facets less than 2m deep.
+    stacking-tree sweep from g's facets: a facet at wall distance k lies
+    2k - 2 deep, so level m holds the facets less than 2m deep, and level
+    m - 1 those less than 2m - 2 deep.
 
     A vertex v new at level m lies on one facet of that level.  Between
     two such facets the tree path holds v at every node, as the facets of
-    v form a subtree.  Its node nearest g is g, or a facet or a ridge's
-    parent facet less than 2m - 2 deep, so v would not be new.
+    v form a subtree.  Its node nearest g's facets is g, or a facet less
+    than 2m - 2 deep, or a ridge whose parent facet is, so v would not be
+    new.
     """
     g = frozenset(g)
-    if g not in X.codim1_faces:
+    containing = X.codim1_faces.get(g)
+    if containing is None:
         raise NotCodimOneFaceError(
             f"{sorted(g)} is not a codimension-one face")
     if m < 0:
@@ -323,7 +324,7 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     if m == 0:
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
-    depth = _sweep(X, (X.n_facets + _incidence(X)[0].index(g),))
+    depth = _sweep(X, containing)
     facets_m = tuple(f for f in range(X.n_facets) if depth[f] < 2 * m)
     vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
     if m == 1:

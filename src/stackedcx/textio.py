@@ -100,9 +100,10 @@ def _parse_blocks(text: str, resolve, universe_size: int,
 
 def parse_vertex_partition(text: str, X: SimplicialComplex) -> Partition:
     def resolve(tok: str, ln: int) -> int:
-        if not X.has_token(tok):
-            raise UnknownTokenError(f"unknown vertex {tok!r}", line=ln)
-        return X.id_of(tok)
+        try:
+            return X.id_of(tok)
+        except InputError:
+            raise UnknownTokenError(f"unknown vertex {tok!r}", line=ln) from None
 
     blocks = _parse_blocks(text, resolve, X.n_vertices, "vertices")
     return make_partition("vertices", blocks, range(X.n_vertices))

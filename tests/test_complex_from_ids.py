@@ -10,6 +10,7 @@ import pytest
 
 import stackedcx as sc
 from stackedcx.complexes import (
+    SimplicialComplex,
     StackingTree,
     complex_from_ids,
     find_stacking_order,
@@ -119,13 +120,15 @@ def test_relabelled_complexes_equal_parsed(family):
 
 def test_lookups_are_built_on_first_use():
     X = sc.line_graph(3)
-    assert X._token_ids is None and X._facet_index is None and X._hash is None
+    lookups = (SimplicialComplex._ids, SimplicialComplex._facet_ids, SimplicialComplex.__hash__)
+    assert not any(lookup.built(X) for lookup in lookups)
     assert X.id_of("4") == 3 and X.facet_from_tokens(["2", "3"]) == 1
     assert hash(X) == hash(sc.build_complex([["1", "2"], ["2", "3"], ["3", "4"]]))
+    assert all(lookup.built(X) for lookup in lookups)
     assert sc.facet_distance(X, 0, 2) == 2  # climbs the tree's arrays only
-    assert "incidence" not in X._cache
+    assert not sc.paths._incidence.built(X)
     assert sc.paths.facet_distance_row(X, 0) == [0, 1, 2]
-    assert "incidence" in X._cache
+    assert sc.paths._incidence.built(X)
 
 
 def test_sweep_stops_at_a_cycle():

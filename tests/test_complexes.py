@@ -1,5 +1,7 @@
+import ast
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,29 @@ def test_subcomplex_keeps_tokens(heptagon):
                                    facet(heptagon, "2,4,5")])
     assert sub.labels == ("2", "3", "4", "5")
     assert sub.n_facets == 2
+
+
+def cache_touches(tree, scope=()):
+    """The enclosing definitions of every ``_cache`` attribute or string."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (node.name,)
+        elif (isinstance(node, ast.Attribute) and node.attr == "_cache"
+              or isinstance(node, ast.Constant) and node.value == "_cache"):
+            yield ".".join(scope)
+        yield from cache_touches(node, inner)
+
+
+def test_only_the_memo_touches_the_cache():
+    """Derived structures go through complexes.derived, keyed by the
+    function that builds them, so no string key can come back."""
+    allowed = {"complexes.py:SimplicialComplex",  # its __slots__
+               "complexes.py:SimplicialComplex.__init__"}
+    seen = set()
+    for path in sorted(Path(sc.__file__).parent.glob("*.py")):
+        for scope in cache_touches(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{scope}"
+            seen.add(where)
+            assert where in allowed or where.startswith("complexes.py:derived"), where
+    assert "complexes.py:derived.get" in seen

@@ -9,7 +9,7 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import random_stacked
 
-from conftest import cx, facet
+from conftest import cx, facet, relabelled
 
 
 def paper_paths(X, f, g):
@@ -322,6 +322,14 @@ def reference_neighborhood(X, g, m, dist):
                                    entry_facets=entry)
 
 
+def assert_matches_reference(X):
+    for g in X.codim1_faces:
+        dist = [sc.wall_distance(X, f, g) for f in range(X.n_facets)]
+        for m in range(0, max(dist) + 2):
+            got = sc.distance_neighborhood(X, g, m)
+            assert got == reference_neighborhood(X, g, m, dist)
+
+
 class TestDistanceNeighborhood:
     def test_rejects_negative_m(self, heptagon):
         g = frozenset(heptagon.id_of(t) for t in "24")
@@ -380,10 +388,10 @@ class TestDistanceNeighborhood:
     @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_wall_distance_reference(self, d, n, seed):
-        X = random_stacked(d, n, seed)
-        for g in X.codim1_faces:
-            dist = [sc.wall_distance(X, f, g) for f in range(X.n_facets)]
-            for m in range(0, max(dist) + 2):
-                got = sc.distance_neighborhood(X, g, m)
-                assert got == reference_neighborhood(X, g, m, dist)
+        assert_matches_reference(random_stacked(d, n, seed))
+
+    @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_wall_distance_reference_relabelled(self, d, n, seed):
+        assert_matches_reference(relabelled(random_stacked(d, n, seed), seed))
 
