@@ -7,8 +7,12 @@ Bell/Stirling identities they must reproduce.
 A partition is held as a string: entry i is the block of the i-th element
 of the sorted ground set, blocks numbered 0, 1, ... in the order their
 first member is placed (Knuth, TAOCP 4A §7.2.1.5, restricted-growth
-strings).  :func:`enumerate_partitions` places elements in id order;
-:func:`verify_bijection` and :func:`census` place them in
+strings).  One walk, :func:`_prefixes`, places every element but the
+last, and two consumers place the last one: :func:`_growth_strings`
+expands it into the strings of one part number, for enumeration and
+verification, and :func:`census` counts its admissible blocks for every
+part number at once.  :func:`enumerate_partitions` places elements in id
+order; :func:`verify_bijection` and :func:`census` place them in
 :func:`partitions.certificate_order`, as the string maps do, so
 enumerated strings and images compare as tuples.  That order is a perfect
 elimination order of the scatter graph (Rose, Tarjan & Lueker 1976): an
@@ -96,25 +100,30 @@ def prefix_spec(n: int, parts: int, scatter: int) -> EnumerationSpec:
                            distance=lambda a, b: abs(a - b), kind="integers")
 
 
-def _growth_strings(spec: EnumerationSpec,
-                    order: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """The string of every partition of the sorted ground set into exactly
-    ``parts`` blocks, each ``scatter``-scattered, once each, by a
-    depth-first walk that places the positions in ``order`` (by default
-    0, 1, ...): each tries each open block in turn, then a new one.  An
-    element joins a block only if it keeps distance >= scatter to every
-    member already there: one AND of the block's member steps with the
-    step's ``close`` mask.  The strings come in lexicographic order of
-    their entries read along ``order``.
+def _prefixes(spec: EnumerationSpec, order: Sequence[int],
+              fewest: int) -> Iterator[tuple[list[int], list[int], int, int]]:
+    """The walk both consumers share: every placement of all positions of
+    ``order`` but the last into at most ``parts`` blocks, each
+    ``scatter``-scattered, from which the last position can still reach
+    ``fewest`` blocks, once each, in lexicographic order along ``order``.
+    Each step tries each open block in turn, then a new one, and joins a
+    block only if no member already there is closer than ``scatter``: one
+    AND of the block's member steps with the step's ``close`` mask.
+
+    A placement is yielded as ``(slot, masks, k, near)``: the block of each
+    position (-1 while unplaced), each block's member steps, the number of
+    open blocks, and the last step's close mask, so the last step may join
+    block b < k when ``near & masks[b]`` is 0.  The lists are the walk's
+    state; it never reads the last slot, which a consumer may set and
+    resets to -1.
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
     ground = tuple(sorted(spec.ground))
     n = len(ground)
-    r = spec.parts
-    if r > n:
+    if fewest > n:
         return
-    order = list(range(n)) if order is None else order
+    r = spec.parts
     s = spec.scatter
     close = [0] * n  # per step: the earlier steps closer than s
     if s > 1:
@@ -125,6 +134,10 @@ def _growth_strings(spec: EnumerationSpec,
     masks = [0] * r  # member steps per block
     k = 0  # open blocks
     slot = [-1] * n  # the block of each position, -1 while unplaced
+    last = n - 1
+    if not last:  # no prefix to walk
+        yield slot, masks, k, 0
+        return
     i = 0
     while i >= 0:
         e = order[i]
@@ -147,12 +160,36 @@ def _growth_strings(spec: EnumerationSpec,
             i -= 1
             continue
         slot[e] = b
-        if n - 1 - i < r - k:
+        if last - i < fewest - k:
             continue  # too few steps left to open the missing blocks
-        if i == n - 1:
-            yield tuple(slot)
+        if i == last - 1:
+            yield slot, masks, k, close[last]
         else:
             i += 1
+
+
+def _growth_strings(spec: EnumerationSpec,
+                    order: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """The string of every partition of the sorted ground set into exactly
+    ``parts`` blocks, each ``scatter``-scattered, once each: each placement
+    of :func:`_prefixes` with the last position put in each admissible
+    block.  Positions are placed in ``order`` (by default 0, 1, ...), and
+    the strings come in lexicographic order of their entries read along
+    ``order``.
+    """
+    r = spec.parts
+    order = list(range(len(spec.ground))) if order is None else order
+    for slot, masks, k, near in _prefixes(spec, order, r):
+        e = order[-1]
+        if k == r:  # the last element joins an open block
+            for b in range(k):
+                if not near & masks[b]:
+                    slot[e] = b
+                    yield tuple(slot)
+        else:  # k == r - 1: it opens the missing block
+            slot[e] = k
+            yield tuple(slot)
+        slot[e] = -1
 
 
 def _partition(kind: GroundKind, ground: Iterable[int], a: tuple[int, ...]) -> Partition:
@@ -329,16 +366,25 @@ def census(X: SimplicialComplex) -> CensusReport:
     """Count independent vertex partitions of a stacked complex by part
     number; the counts must reproduce Stirling numbers and sum to a Bell
     number.  A complex of more than ``MAX_EXACT`` facets raises
-    OutOfRangeError before anything is counted."""
+    OutOfRangeError before anything is counted.
+
+    This is still the brute-force oracle: one walk of :func:`_prefixes`
+    over every block count at once, with no recurrence, memo or closed
+    form.  Each partition is one placement the walk yields plus one
+    admissible block for the last vertex, and is counted once: the open
+    blocks the last step's close mask misses add to the row of k blocks,
+    and a new block to the row of k + 1.  Nothing is capped at r, so a new
+    block is always admissible and the walk has no dead ends.
+    """
     n = X.n_facets
     _check_exact_range(n)
-    order = certificate_order(X, "vertices")
-    rows = []
-    total = 0
-    for r in range(1, n + 1):
-        count = sum(1 for _ in _growth_strings(vertex_spec(X, r + X.dim, 2), order))
-        rows.append(CensusRow(parts=r, vertex_parts=r + X.dim, count=count,
-                              expected=stirling2(n, r)))
-        total += count
-    return CensusReport(n_facets=n, dim=X.dim, rows=tuple(rows), total=total,
-                        bell_value=bell(n))
+    spec = vertex_spec(X, X.n_vertices, 2)
+    counts = [0] * (X.n_vertices + 1)  # by vertex part number
+    for _, masks, k, near in _prefixes(spec, certificate_order(X, "vertices"), 1):
+        counts[k] += sum(1 for b in range(k) if not near & masks[b])
+        counts[k + 1] += 1
+    rows = tuple(CensusRow(parts=r, vertex_parts=r + X.dim, count=counts[r + X.dim],
+                           expected=stirling2(n, r))
+                 for r in range(1, n + 1))
+    return CensusReport(n_facets=n, dim=X.dim, rows=rows,
+                        total=sum(row.count for row in rows), bell_value=bell(n))
