@@ -16,7 +16,14 @@ from .generators import (
     triangulation_count,
 )
 from .natline import check_colimit_compatibility, refine_iter, refine_once
-from .oracle import census, enumerate_partitions, facet_spec, vertex_spec, verify_bijection
+from .oracle import (
+    _check_exact_range,
+    census,
+    enumerate_partitions,
+    facet_spec,
+    vertex_spec,
+    verify_bijection,
+)
 from .partitions import facet_to_vertex, vertex_to_facet
 from .paths import face_path, facet_path
 from .textio import (
@@ -116,6 +123,7 @@ def cmd_map(args) -> int:
 
 def cmd_enumerate(args) -> int:
     X = _load_stacked(args.complex)
+    _check_exact_range(X.n_facets)  # before any line: the families grow exponentially
     spec = (vertex_spec if args.kind == "vertices" else facet_spec)(X, args.r, args.s)
     for P in enumerate_partitions(spec):
         print(format_partition_line(P, X))

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .complexes import SimplicialComplex
-from .errors import InputError, NotIndependentError, OutOfRangeError
+from .errors import InputError, OutOfRangeError
 from .partitions import (
     GroundKind,
     Partition,
     certificate_order,
-    facet_to_vertex_string,
-    vertex_to_facet_string,
+    facet_to_vertex_strings,
+    vertex_to_facet_strings,
 )
 from .paths import facet_distance_matrix, vertex_distance_matrix
 
@@ -260,17 +260,22 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     every other case, so a failing report keeps its exact counts and
     counterexamples.
 
+    Each pass maps its whole family through one call of a string map, so
+    the kernel resumes each string where it first differs from the one
+    before: one f2v pass over the facet family, one v2f pass over its
+    images and, when it runs, one v2f pass over the vertex family.
+
     v2f needs independent blocks.  A member of a vertex family whose
     scatter is at least 2 (here s + 1 >= 2) has them: two vertices of one
-    facet are at distance 1, so no block holds both.  v2f therefore skips
-    its independence test on members of the vertex family, the reverse
-    pass's partitions and the forward images found in that family, and
-    runs it on any other image; an image that is not a partition into
-    independent sets does not round-trip.  Counterexamples are (reason,
-    partition) pairs, the first three of the forward and then the reverse
-    pass, in the order of :func:`enumerate_partitions`.  A complex of more than
-    ``MAX_EXACT`` facets raises OutOfRangeError before anything is
-    enumerated.
+    facet are at distance 1, so no block holds both.  v2f therefore
+    trusts the vertex family, skipping its independence test on the
+    reverse pass's partitions and the forward images found in the family,
+    and runs it on any other image; an image that is not a partition into
+    independent sets maps to None and does not round-trip.
+    Counterexamples are (reason, partition) pairs, the first three of the
+    forward and then the reverse pass, in the order of
+    :func:`enumerate_partitions`.  A complex of more than ``MAX_EXACT``
+    facets raises OutOfRangeError before anything is enumerated.
     """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
@@ -280,7 +285,7 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     right = list(_growth_strings(vertex_family, certificate_order(X, "vertices")))
     left_set = set(left)
     right_set = set(right)
-    independent = vertex_family.scatter >= 2
+    trusted = right_set if vertex_family.scatter >= 2 else frozenset()
 
     round_trips = 0
     mismatches = 0
@@ -291,24 +296,18 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         a = tuple([first.setdefault(x, len(first)) for x in a])
         notes.append((kind == "vertices", a, reason, kind))
 
-    forward: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for a in left:
-        image = facet_to_vertex_string(X, a)
-        forward[a] = image
-        member = image in right_set
-        if not member:
+    images = facet_to_vertex_strings(X, left)
+    backs = vertex_to_facet_strings(X, images, trusted=trusted)
+    for a, image, back in zip(left, images, backs):
+        if image not in right_set:
             mismatches += 1
             note("facet partition whose image is not in the vertex family", "facets", a)
-        try:
-            back = vertex_to_facet_string(X, image, independent=member and independent)
-        except NotIndependentError:  # a faulty image with two vertices on a facet
-            back = None
         if back != a:
             round_trips += 1
             note("facet partition that does not round-trip", "facets", a)
     if mismatches or round_trips or len(right_set) != len(left):
-        for b in right:
-            preimage = vertex_to_facet_string(X, b, independent=independent)
+        forward = dict(zip(left, images))
+        for b, preimage in zip(right, vertex_to_facet_strings(X, right, trusted=trusted)):
             if preimage not in left_set:
                 mismatches += 1
                 note("vertex partition whose image is not in the facet family",

@@ -13,21 +13,25 @@ meets.  The maps return the equivalences these relations generate;
 unrelated elements stay as singleton blocks.
 
 Both maps are one pass over the stacking tree rooted at facet 0, in
-certificate order (:func:`_label`), reading each facet's parent, free
+certificate order (:func:`_labels`), reading each facet's parent, free
 vertex and port from :class:`complexes.StackingTree`.  Each relates every
 new element, as it is reached, to one element placed before it: the port
 of the nearest ancestor facet in the right block.  So a class is numbered
 when its first member is placed, and the labels are a string in
 certificate form: entry e is the block of element e, blocks numbered in
 the order their first member appears along :func:`certificate_order`.
-The public maps group it into canonical blocks; the string maps, which
-:func:`oracle.verify_bijection` runs, return it as it is.
+The public maps run the pass on one partition and group its labels into
+canonical blocks.  The string maps, which :func:`oracle.verify_bijection`
+runs, take a sequence of strings and return the labels as they are: the
+pass resumes each string at the first step its change can reach, so a
+family walked in certificate order costs little more than the steps that
+differ between neighbours.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from operator import eq
-from typing import Iterable, Literal, Sequence
+from typing import Container, Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
@@ -148,12 +152,15 @@ def certificate_order(X: SimplicialComplex, kind: GroundKind) -> list[int]:
 
 @derived
 def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
-    """The pass of :func:`_label` that labels the facets or the vertices of
-    X, built once per complex and kind: a step (slot of p's row, slot of
-    c's row, edge_at, edge_source, lookup_at, element) per facet c after
-    the root, p its parent, in certificate order; the root's elements
-    labelled 0, 1, ...; their count; the number of facets.  c's slot is
-    -1 when c has no children, p's when c is p's last child, else c.
+    """The pass of :func:`_labels` that labels the facets or the vertices
+    of X, built once per complex and kind: a step (its index, slot of p's
+    row, slot of c's row, edge_at, edge_source, lookup_at, element) per
+    facet c after the root, p its parent, in certificate order; the root's
+    elements labelled 0, 1, ...; their count; the number of facets; the
+    certificate order of the input kind, the other one; and its root
+    count, the root facet's elements of that kind (1 facet or d + 1
+    vertices).  c's slot is -1 when c has no children, p's when c is p's
+    last child, else c.
     """
     tree = stacking_tree(X)
     order, up, port, free = tree.order, tree.up, tree.port, tree.free
@@ -161,22 +168,24 @@ def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     last = {up[c]: c for c in order[1:]}  # each parent's last child
     slot = [0] * n
     steps = []
-    for c in order[1:]:
+    for i, c in enumerate(order[1:]):
         p = up[c]
         slot[c] = -1 if c not in last else slot[p] if last[p] == c else c
         ends = (p, port[c], c, free[c]) if kind == "vertices" else (port[c], p, free[c], c)
-        steps.append((slot[p], slot[c], *ends))
+        steps.append((i, slot[p], slot[c], *ends))
     roots = X.facet_tuples[0] if kind == "vertices" else (0,)
     label = [-1] * (X.n_vertices if kind == "vertices" else n)
     for i, e in enumerate(roots):
         label[e] = i
-    return steps, label, len(roots), n
+    inputs = certificate_order(X, "facets" if kind == "vertices" else "vertices")
+    return steps, label, len(roots), n, inputs, len(inputs) - len(steps)
 
 
-def _label(plan: tuple, block_of: Sequence[int]) -> list[int]:
-    """Each element labelled by its class in the equivalence one pass over
-    the stacking tree builds, as a string in certificate form: both maps,
-    which differ only in their :func:`_pass`.
+def _labels(plan: tuple, strings: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each string's elements labelled by their class in the equivalence
+    one pass over the stacking tree builds, as a string in certificate
+    form: both maps, which differ only in their :func:`_pass`.  A string
+    gives each input element its block, in any numbering.
 
     The root facet's elements get classes 0, 1, ...  Each later facet c,
     in certificate order and with parent p, takes p's row, a map from
@@ -220,30 +229,73 @@ def _label(plan: tuple, block_of: Sequence[int]) -> list[int]:
     through the same edge, and join the same class; when there is none,
     both join the root region.  Any two elements of a root region are
     related, since no facet above either one qualifies.
+
+    Each string after the first resumes the pass where it can first
+    differ from the one before.  Step i reads the string only at input
+    positions up to i + roots along the input kind's certificate order
+    (the root facet's elements, then one new element per step), so if the
+    two strings first differ at position m, the steps before m - roots
+    would run exactly as they did, and only the later ones run again,
+    from the state after step m - roots - 1, which a log restores.  A
+    step writes into state that outlives it only where the last child
+    keeps its parent's row (``row[k] = ...``) and where it opens a
+    root-region class in ``base``; each such write is logged with its
+    step and the value it replaced, and the writes of the steps to run
+    again are undone, latest first.  Everything else those steps touched
+    is rebuilt before it is read: the row copy a step makes is read only
+    by its facet's descendants, which come after it, and a label only
+    once its element has been placed again.  The log is kept only when
+    there is a next string to resume.
     """
-    steps, label, n_roots, n = plan
+    steps, label, n_roots, n, order, roots = plan
     label = label[:]
     base: dict[int, int] = {}  # the class of each block's root region
     rows: list = [{}] + [None] * (n - 1)
-    for above, at, edge_at, source, lookup_at, element in steps:
-        row = rows[above]
-        k, j = block_of[edge_at], block_of[lookup_at]
-        if at < 0:  # c has no children: its row is read only here
-            x = label[source] if k == j else row.get(j)
-        else:
-            old = row.get(k)
-            row[k] = label[source]
-            x = row.get(j)
-            if at != above:  # p's row is read again
-                rows[at] = row.copy()
+    log: list = []  # (step, dict, key, value before or None) per lasting write
+    keep = len(strings) > 1
+    out = []
+    start, previous = 0, None
+    for block_of in strings:
+        if previous is not None:
+            for first, e in enumerate(order):  # the first input position that differs
+                if block_of[e] != previous[e]:
+                    break
+            else:
+                first = len(order)
+            start = first - roots if first > roots else 0
+            while log and log[-1][0] >= start:
+                _, held, key, old = log.pop()
                 if old is None:
-                    del row[k]
+                    del held[key]
                 else:
-                    row[k] = old
-        if x is None:
-            x = base.setdefault(j, n_roots + len(base))
-        label[element] = x
-    return label
+                    held[key] = old
+        for i, above, at, edge_at, source, lookup_at, element in steps[start:]:
+            row = rows[above]
+            k, j = block_of[edge_at], block_of[lookup_at]
+            if at < 0:  # c has no children: its row is read only here
+                x = label[source] if k == j else row.get(j)
+            else:
+                old = row.get(k)
+                row[k] = label[source]
+                x = row.get(j)
+                if at != above:  # p's row is read again
+                    rows[at] = row.copy()
+                    if old is None:
+                        del row[k]
+                    else:
+                        row[k] = old
+                elif keep:
+                    log.append((i, row, k, old))
+            if x is None:
+                x = base.get(j)
+                if x is None:
+                    x = base[j] = n_roots + len(base)
+                    if keep:
+                        log.append((i, base, j, None))
+            label[element] = x
+        out.append(tuple(label))
+        previous = block_of
+    return out
 
 
 def _blocks(label: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -271,44 +323,51 @@ def _edge_ends(X: SimplicialComplex) -> tuple[list[int], list[int]]:
     return tails, heads
 
 
-def _check_independent(X: SimplicialComplex, block_of: Sequence[int]) -> None:
-    """Raise unless every block is independent: two vertices of one facet
-    are the ends of an edge, so no edge may have both ends in one block."""
+def _independent(X: SimplicialComplex, block_of: Sequence[int]) -> bool:
+    """Whether every block is independent: two vertices of one facet are
+    the ends of an edge, so no edge may have both ends in one block."""
     tails, heads = _edge_ends(X)
     get = block_of.__getitem__
-    if any(map(eq, map(get, tails), map(get, heads))):
-        raise NotIndependentError("a block has two vertices on one facet")
+    return not any(map(eq, map(get, tails), map(get, heads)))
 
 
 def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     """Map a partition of vertices into independent blocks to the induced
     facet partition."""
     block_of = _index_cover(P, "vertices", X.n_vertices)
-    _check_independent(X, block_of)
-    return Partition(kind="facets", blocks=_blocks(_label(_pass(X, "facets"), block_of)))
+    if not _independent(X, block_of):
+        raise NotIndependentError("a block has two vertices on one facet")
+    [label] = _labels(_pass(X, "facets"), [block_of])
+    return Partition(kind="facets", blocks=_blocks(label))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    return Partition(kind="vertices", blocks=_blocks(_label(_pass(X, "vertices"), block_of)))
+    [label] = _labels(_pass(X, "vertices"), [block_of])
+    return Partition(kind="vertices", blocks=_blocks(label))
 
 
-def facet_to_vertex_string(X: SimplicialComplex, a: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`facet_to_vertex` on strings: ``a[f]`` is the block of facet
-    f, in any numbering, and the result is the vertex partition in
-    certificate form.  The string is trusted, not validated."""
-    return tuple(_label(_pass(X, "vertices"), a))
+def facet_to_vertex_strings(X: SimplicialComplex,
+                            strings: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """:func:`facet_to_vertex` on a sequence of strings: ``a[f]`` is the
+    block of facet f, in any numbering, and each result is the vertex
+    partition in certificate form.  The strings are trusted, not
+    validated.  One pass of the kernel maps them all, fastest when
+    neighbours share long prefixes along the facets' certificate order."""
+    return _labels(_pass(X, "vertices"), strings)
 
 
-def vertex_to_facet_string(X: SimplicialComplex, a: tuple[int, ...], *,
-                           independent: bool = False) -> tuple[int, ...]:
-    """:func:`vertex_to_facet` on strings, as :func:`facet_to_vertex_string`.
-    The independence test is skipped when the caller knows every block to
-    be independent."""
-    if not independent:
-        _check_independent(X, a)
-    return tuple(_label(_pass(X, "facets"), a))
+def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]], *,
+                            trusted: Container[tuple[int, ...]] = frozenset()
+                            ) -> list[tuple[int, ...] | None]:
+    """:func:`vertex_to_facet` on a sequence of strings, as
+    :func:`facet_to_vertex_strings`.  A string whose blocks are not
+    independent maps to None; the test is skipped on strings in
+    ``trusted``, which the caller knows to be independent."""
+    independent = [a in trusted or _independent(X, a) for a in strings]
+    labels = iter(_labels(_pass(X, "facets"), list(compress(strings, independent))))
+    return [next(labels) if ok else None for ok in independent]
 
 
 @dataclass(frozen=True)

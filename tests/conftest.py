@@ -4,6 +4,7 @@ import pytest
 
 import stackedcx as sc
 from stackedcx import oracle
+from stackedcx.errors import NotIndependentError
 from stackedcx.partitions import certificate_order
 from stackedcx.textio import parse_facet_partition, parse_vertex_partition
 
@@ -75,26 +76,33 @@ def string_partition(kind, a):
     return sc.Partition(kind, tuple(sorted(map(tuple, blocks))))
 
 
-# each Partition-level map, as the string map oracle.verify_bijection calls
-# in its place
-STRING_MAPS = {"facet_to_vertex": ("facet_to_vertex_string", "facets"),
-               "vertex_to_facet": ("vertex_to_facet_string", "vertices")}
+# each Partition-level map, as the sequence map oracle.verify_bijection
+# calls in its place
+STRING_MAPS = {"facet_to_vertex": ("facet_to_vertex_strings", "facets"),
+               "vertex_to_facet": ("vertex_to_facet_strings", "vertices")}
 
 
 def inject(patch, name, fault):
     """Install a fault where oracle.verify_bijection will call it.  A fault
     on facet_to_vertex or vertex_to_facet, written over Partition objects,
-    replaces the string map oracle binds in its place: the string is
-    turned into a Partition, the fault runs on it, and its result is
-    turned back into a string in certificate form.  Any other fault (a
-    spec) replaces ``name``."""
+    replaces the sequence map oracle binds in its place: the fault runs
+    once per string, on the string turned into a Partition, and its result
+    is turned back into a string in certificate form, or into None when
+    the fault raises NotIndependentError.  Any other fault (a spec)
+    replaces ``name``."""
     if name not in STRING_MAPS:
         patch.setattr(oracle, name, fault)
         return
     string_name, kind = STRING_MAPS[name]
 
-    def on_strings(X, a, **_):
-        return growth_string(X, fault(X, string_partition(kind, a)))
+    def on_string(X, a):
+        try:
+            return growth_string(X, fault(X, string_partition(kind, a)))
+        except NotIndependentError:
+            return None
+
+    def on_strings(X, strings, **_):
+        return [on_string(X, a) for a in strings]
     patch.setattr(oracle, string_name, on_strings)
 
 

@@ -221,6 +221,24 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == sc.stirling2(5, 2)
 
+    def test_more_facets_than_exact_range_exits_one_before_any_line(self, capsys,
+                                                                     tmp_path):
+        # a 40-edge path would stream S(41, 3) vertex partitions
+        path = tmp_path / "path40.cx"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(40)))
+        code, out, err = run(capsys, "enumerate", str(path),
+                             "--kind", "vertices", "-r", "3", "-s", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: n=40 outside supported range 0..25\n"
+
+    def test_exact_range_still_enumerates(self, capsys, tmp_path):
+        path = tmp_path / "path25.cx"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(25)))
+        code, out, err = run(capsys, "enumerate", str(path),
+                             "--kind", "facets", "-r", "24", "-s", "1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == sc.stirling2(25, 24)
+
 
 class TestVerify:
     def test_heptagon_passes(self, capsys, heptagon_file):

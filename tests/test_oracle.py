@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import cli, errors, oracle
+from stackedcx import cli, errors, oracle, partitions
 from stackedcx.generators import (
     all_trees,
     polygon_triangulations,
@@ -23,8 +23,8 @@ from stackedcx.oracle import (
 )
 from stackedcx.partitions import (
     certificate_order,
-    facet_to_vertex_string,
-    vertex_to_facet_string,
+    facet_to_vertex_strings,
+    vertex_to_facet_strings,
 )
 from stackedcx.paths import facet_distance_matrix, vertex_distance_matrix
 
@@ -276,11 +276,11 @@ def reference_strings(spec):
     """The restricted-growth strings with exactly ``parts`` blocks whose
     same-block pairs are all >= scatter apart."""
     ground = sorted(spec.ground)
+    close = [(i, j) for j in range(len(ground)) for i in range(j)
+             if spec.distance(ground[i], ground[j]) < spec.scatter]
     return [a for a in restricted_growth_strings(len(ground), spec.parts)
             if max(a, default=-1) + 1 == spec.parts
-            and not any(a[i] == a[j]
-                        and spec.distance(ground[i], ground[j]) < spec.scatter
-                        for j in range(len(a)) for i in range(j))]
+            and not any(a[i] == a[j] for i, j in close)]
 
 
 def reference_enumeration(spec):
@@ -508,6 +508,13 @@ def walk_in_lines(spec, order, cap):
     return lines_run(lambda: sum(1 for _ in oracle._growth_strings(spec, order)), WALK, cap)
 
 
+def verify_families(X, r, s):
+    """The facet and vertex families verify_bijection maps, in walk order."""
+    return (list(oracle._growth_strings(facet_spec(X, r, s), certificate_order(X, "facets"))),
+            list(oracle._growth_strings(vertex_spec(X, r + X.dim, s + 1),
+                                        certificate_order(X, "vertices"))))
+
+
 def close_earlier_are_cliques(order, distance, bound):
     """In ``order``, every element's earlier elements at distance < bound
     are pairwise at distance < bound."""
@@ -545,14 +552,13 @@ class TestCertificateOrder:
     @settings(max_examples=40, deadline=None)
     def test_string_maps_agree_with_public_maps(self, pair, r, s):
         for X in pair:
-            order = certificate_order(X, "facets")
-            for a in oracle._growth_strings(facet_spec(X, r, s), order):
+            left, right = verify_families(X, r, s)
+            for a, image in zip(left, facet_to_vertex_strings(X, left)):
                 P = sc.facet_to_vertex(X, string_partition("facets", a))
-                assert facet_to_vertex_string(X, a) == growth_string(X, P)
-            order = certificate_order(X, "vertices")
-            for b in oracle._growth_strings(vertex_spec(X, r + X.dim, s + 1), order):
+                assert image == growth_string(X, P)
+            for b, preimage in zip(right, vertex_to_facet_strings(X, right)):
                 Q = sc.vertex_to_facet(X, string_partition("vertices", b))
-                assert vertex_to_facet_string(X, b) == growth_string(X, Q)
+                assert preimage == growth_string(X, Q)
 
     def test_close_earlier_elements_form_a_clique(self):
         # the perfect elimination property the walk's label blindness rests on
@@ -571,6 +577,89 @@ class TestCertificateOrder:
         count, lines = walk_in_lines(vertex_spec(X, 2, 2),
                                      certificate_order(X, "vertices"), cap)
         assert count == 1 and lines <= cap
+
+
+def one_at_a_time(string_map, X, strings, **options):
+    """The sequence map called on one string at a time: no resume."""
+    return [string_map(X, [a], **options)[0] for a in strings]
+
+
+def renumbered(a, rng):
+    """The string a with its block numbers permuted: the same partition,
+    not in certificate form, so it may differ from a at position 0."""
+    numbers = list(range(max(a) + 1))
+    rng.shuffle(numbers)
+    return tuple(numbers[x] for x in a)
+
+
+# the resumable kernel, whose lines the sequence maps run
+KERNEL = {partitions._labels.__code__}
+
+
+class TestSequenceMaps:
+    """The sequence maps resume each string where it first differs from the
+    one before; they must give what one-string calls give."""
+
+    @given(both_labellings, st.integers(1, 3), st.integers(1, 3), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_resumed_strings_match_one_string_calls(self, pair, r, s, rng):
+        for X in pair:
+            left, right = verify_families(X, r, s)
+            images = facet_to_vertex_strings(X, left)
+            assert images == one_at_a_time(facet_to_vertex_strings, X, left)
+            for strings in (right, images):  # the families in walk order
+                assert vertex_to_facet_strings(X, strings) == \
+                    one_at_a_time(vertex_to_facet_strings, X, strings)
+            # shuffled, repeated, and renumbered so they differ at position 0
+            facets = rng.choices(left, k=len(left) + 3) if left else []
+            facets += [renumbered(a, rng) for a in rng.sample(left, min(5, len(left)))]
+            rng.shuffle(facets)
+            assert facet_to_vertex_strings(X, facets) == \
+                one_at_a_time(facet_to_vertex_strings, X, facets)
+            vertices = rng.choices(right, k=len(right) + 3) if right else []
+            vertices += [renumbered(b, rng) for b in rng.sample(right, min(5, len(right)))]
+            rng.shuffle(vertices)
+            assert vertex_to_facet_strings(X, vertices) == \
+                one_at_a_time(vertex_to_facet_strings, X, vertices)
+
+    @given(both_labellings, st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_dependent_strings_with_and_without_trust(self, pair, rng):
+        for X in pair:
+            parts = X.dim + 1 + rng.randrange(3)
+            strings = [tuple(rng.randrange(parts) for _ in range(X.n_vertices))
+                       for _ in range(12)]
+            strings += rng.choices(strings, k=4)
+            dependent = [any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
+                         for a in strings]
+            got = vertex_to_facet_strings(X, strings)
+            assert got == one_at_a_time(vertex_to_facet_strings, X, strings)
+            assert [image is None for image in got] == dependent
+            trusted = set(rng.sample(strings, len(strings) // 2))
+            got = vertex_to_facet_strings(X, strings, trusted=trusted)
+            assert got == one_at_a_time(vertex_to_facet_strings, X, strings,
+                                        trusted=trusted)
+            assert [image is None for image in got] == \
+                [bad and a not in trusted for a, bad in zip(strings, dependent)]
+
+    def test_resuming_runs_at_most_half_the_kernel_lines(self):
+        # the verify families of one stacking, mapped as verify_bijection
+        # maps them: 115,918 and 122,125 kernel lines against 276,138 and
+        # 279,192 on the two labellings
+        X = random_stacked(2, 8, 1001)
+        for Y in (X, relabelled(X, 1)):
+            left, right = verify_families(Y, 3, 1)
+
+            def passes(run):  # verify_bijection's three passes, each through run
+                images = run(facet_to_vertex_strings, left)
+                return images, run(vertex_to_facet_strings, images), \
+                    run(vertex_to_facet_strings, right)
+
+            got, lines = lines_run(lambda: passes(lambda f, strings: f(Y, strings)), KERNEL)
+            expected, reference = lines_run(
+                lambda: passes(lambda f, strings: one_at_a_time(f, Y, strings)), KERNEL)
+            assert got == expected
+            assert lines <= reference / 2
 
 
 def per_r_census(X):

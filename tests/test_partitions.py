@@ -8,7 +8,7 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import all_trees, random_stacked
 from stackedcx.oracle import enumerate_partitions, facet_spec, vertex_spec
-from stackedcx.partitions import facet_to_vertex_string, vertex_to_facet_string
+from stackedcx.partitions import facet_to_vertex_strings, vertex_to_facet_strings
 
 from conftest import (
     closure,
@@ -315,14 +315,14 @@ class TestStringMaps:
         for X in both_labellings(40):
             Q = random_facet_partition(X, rng)
             P = sc.facet_to_vertex(X, Q)
-            image = facet_to_vertex_string(X, growth_string(X, Q))
+            [image] = facet_to_vertex_strings(X, [growth_string(X, Q)])
             assert image == growth_string(X, P)
             pairs = [(g.a, g.b) for g in sc.facet_to_vertex_generators(X, Q)]
             assert string_partition("vertices", image) == \
                 closure("vertices", X.n_vertices, pairs)
 
-            back = vertex_to_facet_string(X, image)
-            assert back == vertex_to_facet_string(X, image, independent=True)
+            [back] = vertex_to_facet_strings(X, [image])
+            assert [back] == vertex_to_facet_strings(X, [image], trusted={image})
             assert back == growth_string(X, sc.vertex_to_facet(X, P))
             pairs = [(g.a, g.b) for g in sc.vertex_to_facet_generators(X, P)]
             assert string_partition("facets", back) == \
@@ -342,14 +342,13 @@ class TestStringMaps:
                 a = growth_string(X, P)
                 expected = any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
                 dependent += expected
-                for check in (lambda: sc.vertex_to_facet(X, P),
-                              lambda: vertex_to_facet_string(X, a)):
-                    if expected:
-                        with pytest.raises(errors.NotIndependentError) as info:
-                            check()
-                        assert str(info.value) == "a block has two vertices on one facet"
-                    else:
-                        check()
+                if expected:
+                    with pytest.raises(errors.NotIndependentError) as info:
+                        sc.vertex_to_facet(X, P)
+                    assert str(info.value) == "a block has two vertices on one facet"
+                else:
+                    sc.vertex_to_facet(X, P)
+                assert (vertex_to_facet_strings(X, [a]) == [None]) == expected
         assert 400 < dependent < 800
 
 
