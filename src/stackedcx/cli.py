@@ -176,15 +176,14 @@ def cmd_gen(args) -> int:
             rng = _random.Random(args.seed)
             seq = tuple(rng.randint(1, v) for _ in range(v - 2))
             X = tree_from_prufer(seq, v)
-        else:
-            count = v ** (v - 2)
-            if not 0 <= args.index < count:
-                raise InputError(f"tree index out of range 0..{count - 1}")
+        else:  # the index's v - 2 digits in base v, with nothing left over
             seq = []
             idx = args.index
-            for _ in range(v - 2):
-                seq.append(1 + idx % v)
-                idx //= v
+            for _ in range(v - 2 if idx >= 0 else 0):
+                idx, digit = divmod(idx, v)
+                seq.append(1 + digit)
+            if idx:
+                raise InputError(f"tree index out of range 0..{v}^{v - 2}-1")
             X = tree_from_prufer(tuple(reversed(seq)), v)
     elif args.shape == "polygon":
         if args.size is None:

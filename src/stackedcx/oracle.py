@@ -110,12 +110,14 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
     block only if no member already there is closer than ``scatter``: one
     AND of the block's member steps with the step's ``close`` mask.
 
-    A placement is yielded as ``(slot, masks, k, near)``: the block of each
-    position (-1 while unplaced), each block's member steps, the number of
-    open blocks, and the last step's close mask, so the last step may join
-    block b < k when ``near & masks[b]`` is 0.  The lists are the walk's
-    state; it never reads the last slot, which a consumer may set and
-    resets to -1.
+    A placement is yielded as ``(slot, masks, k, near, lo)``: the block of
+    each position (-1 while unplaced), each block's member steps, the
+    number of open blocks, the last step's close mask, so the last step may
+    join block b < k when ``near & masks[b]`` is 0, and the lowest step
+    re-placed since the last yield (0 at the first), which takes a higher
+    block: where this placement first differs from the last one.  The lists
+    are the walk's state; it never reads the last slot, which a consumer
+    may set and resets to -1.
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
@@ -136,9 +138,9 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
     slot = [-1] * n  # the block of each position, -1 while unplaced
     last = n - 1
     if not last:  # no prefix to walk
-        yield slot, masks, k, 0
+        yield slot, masks, k, 0, 0
         return
-    i = 0
+    i = lo = 0
     while i >= 0:
         e = order[i]
         b = slot[e]
@@ -158,37 +160,47 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
         else:  # step i is exhausted: backtrack
             slot[e] = -1
             i -= 1
+            if i < lo:
+                lo = i
             continue
         slot[e] = b
         if last - i < fewest - k:
             continue  # too few steps left to open the missing blocks
         if i == last - 1:
-            yield slot, masks, k, close[last]
+            yield slot, masks, k, close[last], lo
+            lo = i
         else:
             i += 1
 
 
-def _growth_strings(spec: EnumerationSpec,
-                    order: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+def _growth_strings(spec: EnumerationSpec, order: Sequence[int] | None = None,
+                    firsts: list[int] | None = None) -> Iterator[tuple[int, ...]]:
     """The string of every partition of the sorted ground set into exactly
     ``parts`` blocks, each ``scatter``-scattered, once each: each placement
     of :func:`_prefixes` with the last position put in each admissible
     block.  Positions are placed in ``order`` (by default 0, 1, ...), and
     the strings come in lexicographic order of their entries read along
     ``order``.
+
+    A list ``firsts`` gets where each string first differs from the one
+    before along ``order``: 0 for the first, the walk's least ``lo`` since
+    the last string for the first on a new placement, else the last.
     """
     r = spec.parts
     order = list(range(len(spec.ground))) if order is None else order
-    for slot, masks, k, near in _prefixes(spec, order, r):
+    last = len(order) - 1
+    first = 0  # the least position changed since the last string
+    for slot, masks, k, near, lo in _prefixes(spec, order, r):
         e = order[-1]
-        if k == r:  # the last element joins an open block
-            for b in range(k):
-                if not near & masks[b]:
-                    slot[e] = b
-                    yield tuple(slot)
-        else:  # k == r - 1: it opens the missing block
-            slot[e] = k
-            yield tuple(slot)
+        first = min(first, lo)
+        # k == r - 1: the last element opens the missing block, whose mask is 0
+        for b in range(k) if k == r else (k,):
+            if not near & masks[b]:
+                slot[e] = b
+                if firsts is not None:
+                    firsts.append(first)
+                first = last
+                yield tuple(slot)
         slot[e] = -1
 
 
@@ -260,10 +272,12 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     every other case, so a failing report keeps its exact counts and
     counterexamples.
 
-    Each pass maps its whole family through one call of a string map, so
-    the kernel resumes each string where it first differs from the one
-    before: one f2v pass over the facet family, one v2f pass over its
-    images and, when it runs, one v2f pass over the vertex family.
+    Each pass maps its whole family through one call of a string map,
+    which resumes each string where it first changes, as the walk or f2v
+    reports: f2v over the facet family, v2f over its images and, when the
+    reverse pass runs, v2f over the vertex family.  Forward failures are
+    counted string by string only when some image misses the family or
+    fails to map back.
 
     v2f needs independent blocks.  A member of a vertex family whose
     scatter is at least 2 (here s + 1 >= 2) has them: two vertices of one
@@ -280,10 +294,13 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
     _check_exact_range(X.n_facets)
-    left = list(_growth_strings(facet_spec(X, r, s), certificate_order(X, "facets")))
+    left_firsts: list[int] = []  # where each string first changes
+    right_firsts: list[int] = []
+    left = list(_growth_strings(facet_spec(X, r, s), certificate_order(X, "facets"),
+                                left_firsts))
     vertex_family = vertex_spec(X, r + X.dim, s + 1)
-    right = list(_growth_strings(vertex_family, certificate_order(X, "vertices")))
-    left_set = set(left)
+    right = list(_growth_strings(vertex_family, certificate_order(X, "vertices"),
+                                 right_firsts))
     right_set = set(right)
     trusted = right_set if vertex_family.scatter >= 2 else frozenset()
 
@@ -296,18 +313,21 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         a = tuple([first.setdefault(x, len(first)) for x in a])
         notes.append((kind == "vertices", a, reason, kind))
 
-    images = facet_to_vertex_strings(X, left)
-    backs = vertex_to_facet_strings(X, images, trusted=trusted)
-    for a, image, back in zip(left, images, backs):
-        if image not in right_set:
-            mismatches += 1
-            note("facet partition whose image is not in the vertex family", "facets", a)
-        if back != a:
-            round_trips += 1
-            note("facet partition that does not round-trip", "facets", a)
+    images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
+    backs, _ = vertex_to_facet_strings(X, images, image_firsts, trusted=trusted)
+    if backs != left or not right_set.issuperset(images):
+        for a, image, back in zip(left, images, backs):
+            if image not in right_set:
+                mismatches += 1
+                note("facet partition whose image is not in the vertex family", "facets", a)
+            if back != a:
+                round_trips += 1
+                note("facet partition that does not round-trip", "facets", a)
     if mismatches or round_trips or len(right_set) != len(left):
+        left_set = set(left)
         forward = dict(zip(left, images))
-        for b, preimage in zip(right, vertex_to_facet_strings(X, right, trusted=trusted)):
+        preimages, _ = vertex_to_facet_strings(X, right, right_firsts, trusted=trusted)
+        for b, preimage in zip(right, preimages):
             if preimage not in left_set:
                 mismatches += 1
                 note("vertex partition whose image is not in the facet family",
@@ -379,7 +399,7 @@ def census(X: SimplicialComplex) -> CensusReport:
     _check_exact_range(n)
     spec = vertex_spec(X, X.n_vertices, 2)
     counts = [0] * (X.n_vertices + 1)  # by vertex part number
-    for _, masks, k, near in _prefixes(spec, certificate_order(X, "vertices"), 1):
+    for _, masks, k, near, _ in _prefixes(spec, certificate_order(X, "vertices"), 1):
         counts[k] += sum(1 for b in range(k) if not near & masks[b])
         counts[k + 1] += 1
     rows = tuple(CensusRow(parts=r, vertex_parts=r + X.dim, count=counts[r + X.dim],

@@ -22,14 +22,15 @@ certificate form: entry e is the block of element e, blocks numbered in
 the order their first member appears along :func:`certificate_order`.
 The public maps run the pass on one partition and group its labels into
 canonical blocks.  The string maps, which :func:`oracle.verify_bijection`
-runs, take a sequence of strings and return the labels as they are: the
-pass resumes each string at the first step its change can reach, so a
-family walked in certificate order costs little more than the steps that
-differ between neighbours.
+runs, take strings with lower bounds on where each first differs from the
+one before, and return the labels as they are with such bounds: the pass
+resumes each string at the first step its change can reach, so a family
+walked in certificate order costs little more than the steps that differ
+between neighbours.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import eq
 from typing import Container, Iterable, Literal, Sequence
 
@@ -156,11 +157,10 @@ def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     of X, built once per complex and kind: a step (its index, slot of p's
     row, slot of c's row, edge_at, edge_source, lookup_at, element) per
     facet c after the root, p its parent, in certificate order; the root's
-    elements labelled 0, 1, ...; their count; the number of facets; the
-    certificate order of the input kind, the other one; and its root
-    count, the root facet's elements of that kind (1 facet or d + 1
-    vertices).  c's slot is -1 when c has no children, p's when c is p's
-    last child, else c.
+    elements labelled 0, 1, ...; their count; the number of facets; and
+    the root count of the input kind, the other one: the root facet's
+    elements of that kind (1 facet or d + 1 vertices).  c's slot is -1
+    when c has no children, p's when c is p's last child, else c.
     """
     tree = stacking_tree(X)
     order, up, port, free = tree.order, tree.up, tree.port, tree.free
@@ -177,11 +177,11 @@ def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     label = [-1] * (X.n_vertices if kind == "vertices" else n)
     for i, e in enumerate(roots):
         label[e] = i
-    inputs = certificate_order(X, "facets" if kind == "vertices" else "vertices")
-    return steps, label, len(roots), n, inputs, len(inputs) - len(steps)
+    return steps, label, len(roots), n, 1 if kind == "vertices" else X.dim + 1
 
 
-def _labels(plan: tuple, strings: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _labels(plan: tuple, strings: Sequence[Sequence[int]], firsts: Iterable[int] | None = None
+            ) -> tuple[list[tuple[int, ...]], list[int]]:
     """Each string's elements labelled by their class in the equivalence
     one pass over the stacking tree builds, as a string in certificate
     form: both maps, which differ only in their :func:`_pass`.  A string
@@ -230,45 +230,40 @@ def _labels(plan: tuple, strings: Sequence[Sequence[int]]) -> list[tuple[int, ..
     both join the root region.  Any two elements of a root region are
     related, since no facet above either one qualifies.
 
-    Each string after the first resumes the pass where it can first
-    differ from the one before.  Step i reads the string only at input
-    positions up to i + roots along the input kind's certificate order
-    (the root facet's elements, then one new element per step), so if the
-    two strings first differ at position m, the steps before m - roots
-    would run exactly as they did, and only the later ones run again,
-    from the state after step m - roots - 1, which a log restores.  A
-    step writes into state that outlives it only where the last child
-    keeps its parent's row (``row[k] = ...``) and where it opens a
-    root-region class in ``base``; each such write is logged with its
-    step and the value it replaced, and the writes of the steps to run
-    again are undone, latest first.  Everything else those steps touched
-    is rebuilt before it is read: the row copy a step makes is read only
-    by its facet's descendants, which come after it, and a label only
-    once its element has been placed again.  The log is kept only when
-    there is a next string to resume.
+    String t after the first resumes the pass at step
+    ``max(firsts[t] - roots, 0)``.  ``firsts[t]`` must be a lower bound on
+    the first input position, along the input kind's certificate order,
+    where string t differs from string t - 1 (0 always is one, and no
+    ``firsts`` runs every string from step 0); one too high is a caller
+    bug.  Step i reads the string only at input positions up to i + roots
+    (the root facet's elements, then one new element per step), so the
+    steps before the resumed one would run as they did.  A step writes
+    into state that outlives it only where the last child keeps its
+    parent's row (``row[k] = ...``) and where it opens a root-region class
+    in ``base``; a log holds each such write with its step and the value it
+    replaced and undoes every one from the resumed step on, latest first,
+    so any lower bound is sound.  Everything else those steps touched is
+    rebuilt before it is read: the row copy a step makes is read only by
+    its facet's descendants, which come after it, and a label only once
+    its element has been placed again.  The log is kept only when there is
+    a next string.  Step i writes only output position i + n_roots, so each
+    result comes with the bound ``start + n_roots`` (0 for the first).
     """
-    steps, label, n_roots, n, order, roots = plan
+    steps, label, n_roots, n, roots = plan
     label = label[:]
     base: dict[int, int] = {}  # the class of each block's root region
     rows: list = [{}] + [None] * (n - 1)
     log: list = []  # (step, dict, key, value before or None) per lasting write
     keep = len(strings) > 1
-    out = []
-    start, previous = 0, None
-    for block_of in strings:
-        if previous is not None:
-            for first, e in enumerate(order):  # the first input position that differs
-                if block_of[e] != previous[e]:
-                    break
+    out, ends = [], []  # the results and their bounds
+    for block_of, first in zip(strings, repeat(0) if firsts is None else firsts):
+        start = first - roots if first > roots and out else 0
+        while log and log[-1][0] >= start:
+            _, held, key, old = log.pop()
+            if old is None:
+                del held[key]
             else:
-                first = len(order)
-            start = first - roots if first > roots else 0
-            while log and log[-1][0] >= start:
-                _, held, key, old = log.pop()
-                if old is None:
-                    del held[key]
-                else:
-                    held[key] = old
+                held[key] = old
         for i, above, at, edge_at, source, lookup_at, element in steps[start:]:
             row = rows[above]
             k, j = block_of[edge_at], block_of[lookup_at]
@@ -293,9 +288,9 @@ def _labels(plan: tuple, strings: Sequence[Sequence[int]]) -> list[tuple[int, ..
                     if keep:
                         log.append((i, base, j, None))
             label[element] = x
+        ends.append(start + n_roots if out else 0)
         out.append(tuple(label))
-        previous = block_of
-    return out
+    return out, ends
 
 
 def _blocks(label: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -337,37 +332,48 @@ def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     block_of = _index_cover(P, "vertices", X.n_vertices)
     if not _independent(X, block_of):
         raise NotIndependentError("a block has two vertices on one facet")
-    [label] = _labels(_pass(X, "facets"), [block_of])
+    [label], _ = _labels(_pass(X, "facets"), [block_of])
     return Partition(kind="facets", blocks=_blocks(label))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    [label] = _labels(_pass(X, "vertices"), [block_of])
+    [label], _ = _labels(_pass(X, "vertices"), [block_of])
     return Partition(kind="vertices", blocks=_blocks(label))
 
 
-def facet_to_vertex_strings(X: SimplicialComplex,
-                            strings: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def facet_to_vertex_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]],
+                            firsts: Sequence[int] | None = None
+                            ) -> tuple[list[tuple[int, ...]], list[int]]:
     """:func:`facet_to_vertex` on a sequence of strings: ``a[f]`` is the
     block of facet f, in any numbering, and each result is the vertex
     partition in certificate form.  The strings are trusted, not
-    validated.  One pass of the kernel maps them all, fastest when
-    neighbours share long prefixes along the facets' certificate order."""
-    return _labels(_pass(X, "vertices"), strings)
+    validated.  One pass of the kernel maps them all, resuming each at its
+    bound in ``firsts`` (:func:`_labels`), and returns them with theirs."""
+    return _labels(_pass(X, "vertices"), strings, firsts)
 
 
-def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]], *,
+def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]],
+                            firsts: Sequence[int] | None = None, *,
                             trusted: Container[tuple[int, ...]] = frozenset()
-                            ) -> list[tuple[int, ...] | None]:
+                            ) -> tuple[list[tuple[int, ...] | None], list[int]]:
     """:func:`vertex_to_facet` on a sequence of strings, as
     :func:`facet_to_vertex_strings`.  A string whose blocks are not
-    independent maps to None; the test is skipped on strings in
-    ``trusted``, which the caller knows to be independent."""
+    independent maps to None, with bound 0; the test is skipped on strings
+    in ``trusted``, which the caller knows to be independent.  The bounds
+    of the others, in and out, compare each with the last one kept."""
+    plan = _pass(X, "facets")
     independent = [a in trusted or _independent(X, a) for a in strings]
-    labels = iter(_labels(_pass(X, "facets"), list(compress(strings, independent))))
-    return [next(labels) if ok else None for ok in independent]
+    if all(independent):
+        return _labels(plan, strings, firsts)
+    firsts = [0] * len(strings) if firsts is None else firsts
+    kept = list(compress(range(len(strings)), independent))
+    # the least bound over a kept string and those dropped just before it
+    lows = [min(firsts[u + 1:t + 1]) for u, t in zip([-1, *kept], kept)]
+    labels, ends = map(iter, _labels(plan, [strings[t] for t in kept], lows))
+    return ([next(labels) if ok else None for ok in independent],
+            [next(ends) if ok else 0 for ok in independent])
 
 
 @dataclass(frozen=True)

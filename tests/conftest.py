@@ -88,8 +88,9 @@ def inject(patch, name, fault):
     replaces the sequence map oracle binds in its place: the fault runs
     once per string, on the string turned into a Partition, and its result
     is turned back into a string in certificate form, or into None when
-    the fault raises NotIndependentError.  Any other fault (a spec)
-    replaces ``name``."""
+    the fault raises NotIndependentError.  It ignores the positions it is
+    given and returns 0 for each result, a lower bound that always holds.
+    Any other fault (a spec) replaces ``name``."""
     if name not in STRING_MAPS:
         patch.setattr(oracle, name, fault)
         return
@@ -101,8 +102,8 @@ def inject(patch, name, fault):
         except NotIndependentError:
             return None
 
-    def on_strings(X, strings, **_):
-        return [on_string(X, a) for a in strings]
+    def on_strings(X, strings, firsts=None, **_):
+        return [on_string(X, a) for a in strings], [0] * len(strings)
     patch.setattr(oracle, string_name, on_strings)
 
 

@@ -410,6 +410,25 @@ class TestGen:
                            "--index", "3")
         assert code == 1 and "out of range" in err
 
+    @pytest.mark.parametrize("vertices", [1400, 10**6])
+    def test_tree_index_out_of_range_on_many_vertices(self, capsys, vertices):
+        # the range is stated, not computed: v^(v-2) has over 4,300 digits,
+        # more than str(int) converts, and takes seconds to build at 10^6
+        assert run(capsys, "gen", "tree", "--vertices", str(vertices), "--index", "-1") == \
+            (1, "", f"error: tree index out of range 0..{vertices}^{vertices - 2}-1\n")
+
+    def test_tree_index_range_edges(self, capsys):
+        trees = set()
+        for index in (0, 4 ** 2 - 1):
+            code, out, err = run(capsys, "gen", "tree", "--vertices", "4",
+                                 "--index", str(index))
+            assert code == 0 and err == "" and sc.is_stacked(parse_complex(out))
+            trees.add(out)
+        assert len(trees) == 2
+        for index in (-1, 4 ** 2):
+            assert run(capsys, "gen", "tree", "--vertices", "4", "--index", str(index)) == \
+                (1, "", "error: tree index out of range 0..4^2-1\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["tree"], "gen tree needs --vertices"),
         (["tree", "--vertices", "1"], "trees need at least two vertices"),

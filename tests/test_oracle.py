@@ -508,11 +508,45 @@ def walk_in_lines(spec, order, cap):
     return lines_run(lambda: sum(1 for _ in oracle._growth_strings(spec, order)), WALK, cap)
 
 
+def walk(spec, order):
+    """The walk's strings in ``order``, and the positions it records."""
+    firsts = []
+    return list(oracle._growth_strings(spec, order, firsts)), firsts
+
+
 def verify_families(X, r, s):
-    """The facet and vertex families verify_bijection maps, in walk order."""
-    return (list(oracle._growth_strings(facet_spec(X, r, s), certificate_order(X, "facets"))),
-            list(oracle._growth_strings(vertex_spec(X, r + X.dim, s + 1),
-                                        certificate_order(X, "vertices"))))
+    """The facet and vertex families verify_bijection maps, in walk order,
+    each with the positions the walk records."""
+    return (walk(facet_spec(X, r, s), certificate_order(X, "facets")),
+            walk(vertex_spec(X, r + X.dim, s + 1), certificate_order(X, "vertices")))
+
+
+def first_changes(strings, order):
+    """Reference scan: each string's first position along ``order`` where it
+    differs from the last string before it that is not None (len(order)
+    when equal); 0 for None and for the first string that is not None."""
+    out, previous = [], None
+    for a in strings:
+        if a is None or previous is None:
+            out.append(0)
+        else:
+            out.append(next((i for i, e in enumerate(order) if a[e] != previous[e]),
+                            len(order)))
+        previous = previous if a is None else a
+    return out
+
+
+def position_kinds(strings, order, rng):
+    """Three kinds of valid positions for ``strings``: the reference scan's,
+    all zeros, and random values at or below the scan's."""
+    exact = first_changes(strings, order)
+    return exact, [0] * len(strings), [rng.randint(0, p) for p in exact]
+
+
+def bounds_hold(results, firsts, order):
+    """Whether each of ``firsts`` is at or below the reference scan's."""
+    return len(firsts) == len(results) and all(
+        p <= q for p, q in zip(firsts, first_changes(results, order)))
 
 
 def close_earlier_are_cliques(order, distance, bound):
@@ -552,11 +586,11 @@ class TestCertificateOrder:
     @settings(max_examples=40, deadline=None)
     def test_string_maps_agree_with_public_maps(self, pair, r, s):
         for X in pair:
-            left, right = verify_families(X, r, s)
-            for a, image in zip(left, facet_to_vertex_strings(X, left)):
+            (left, _), (right, _) = verify_families(X, r, s)
+            for a, image in zip(left, facet_to_vertex_strings(X, left)[0]):
                 P = sc.facet_to_vertex(X, string_partition("facets", a))
                 assert image == growth_string(X, P)
-            for b, preimage in zip(right, vertex_to_facet_strings(X, right)):
+            for b, preimage in zip(right, vertex_to_facet_strings(X, right)[0]):
                 Q = sc.vertex_to_facet(X, string_partition("vertices", b))
                 assert preimage == growth_string(X, Q)
 
@@ -580,8 +614,8 @@ class TestCertificateOrder:
 
 
 def one_at_a_time(string_map, X, strings, **options):
-    """The sequence map called on one string at a time: no resume."""
-    return [string_map(X, [a], **options)[0] for a in strings]
+    """The sequence map's results called on one string at a time: no resume."""
+    return [string_map(X, [a], **options)[0][0] for a in strings]
 
 
 def renumbered(a, rng):
@@ -597,69 +631,108 @@ KERNEL = {partitions._labels.__code__}
 
 
 class TestSequenceMaps:
-    """The sequence maps resume each string where it first differs from the
-    one before; they must give what one-string calls give."""
+    """The sequence maps resume each string at a lower bound on where it
+    first differs from the one before; they must give what one-string calls
+    give, and bounds of the same kind for their results."""
+
+    @given(both_labellings, st.sampled_from(("facets", "vertices")),
+           st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_walk_positions_are_exact(self, pair, kind, r, s):
+        for X in pair:
+            spec = (facet_spec if kind == "facets" else vertex_spec)(X, r, s)
+            strings, firsts = walk(spec, certificate_order(X, kind))
+            assert firsts == first_changes(strings, certificate_order(X, kind))
+
+    def test_walk_positions_are_exact_on_the_corpus(self):
+        # the families verify_bijection walks: vertex scatter s + 1
+        for X in clique_corpus():
+            orders = [certificate_order(X, kind) for kind in ("facets", "vertices")]
+            for r in range(1, 5):
+                for s in range(1, 4):
+                    for (strings, firsts), order in zip(verify_families(X, r, s), orders):
+                        assert firsts == first_changes(strings, order)
 
     @given(both_labellings, st.integers(1, 3), st.integers(1, 3), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_resumed_strings_match_one_string_calls(self, pair, r, s, rng):
         for X in pair:
-            left, right = verify_families(X, r, s)
-            images = facet_to_vertex_strings(X, left)
+            facet_order, vertex_order = (certificate_order(X, kind)
+                                         for kind in ("facets", "vertices"))
+            (left, left_firsts), (right, right_firsts) = verify_families(X, r, s)
+            images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
             assert images == one_at_a_time(facet_to_vertex_strings, X, left)
-            for strings in (right, images):  # the families in walk order
-                assert vertex_to_facet_strings(X, strings) == \
-                    one_at_a_time(vertex_to_facet_strings, X, strings)
+            assert bounds_hold(images, image_firsts, vertex_order)
+            # the families in walk order, with the positions verify passes on
+            for strings, firsts in ((right, right_firsts), (images, image_firsts)):
+                backs, back_firsts = vertex_to_facet_strings(X, strings, firsts)
+                assert backs == one_at_a_time(vertex_to_facet_strings, X, strings)
+                assert bounds_hold(backs, back_firsts, facet_order)
             # shuffled, repeated, and renumbered so they differ at position 0
             facets = rng.choices(left, k=len(left) + 3) if left else []
             facets += [renumbered(a, rng) for a in rng.sample(left, min(5, len(left)))]
             rng.shuffle(facets)
-            assert facet_to_vertex_strings(X, facets) == \
-                one_at_a_time(facet_to_vertex_strings, X, facets)
+            expected = one_at_a_time(facet_to_vertex_strings, X, facets)
+            for firsts in position_kinds(facets, facet_order, rng):
+                got, got_firsts = facet_to_vertex_strings(X, facets, firsts)
+                assert got == expected and bounds_hold(got, got_firsts, vertex_order)
             vertices = rng.choices(right, k=len(right) + 3) if right else []
             vertices += [renumbered(b, rng) for b in rng.sample(right, min(5, len(right)))]
             rng.shuffle(vertices)
-            assert vertex_to_facet_strings(X, vertices) == \
-                one_at_a_time(vertex_to_facet_strings, X, vertices)
+            expected = one_at_a_time(vertex_to_facet_strings, X, vertices)
+            for firsts in position_kinds(vertices, vertex_order, rng):
+                got, got_firsts = vertex_to_facet_strings(X, vertices, firsts)
+                assert got == expected and bounds_hold(got, got_firsts, facet_order)
 
     @given(both_labellings, st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_dependent_strings_with_and_without_trust(self, pair, rng):
         for X in pair:
+            facet_order, vertex_order = (certificate_order(X, kind)
+                                         for kind in ("facets", "vertices"))
             parts = X.dim + 1 + rng.randrange(3)
             strings = [tuple(rng.randrange(parts) for _ in range(X.n_vertices))
                        for _ in range(12)]
             strings += rng.choices(strings, k=4)
             dependent = [any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
                          for a in strings]
-            got = vertex_to_facet_strings(X, strings)
-            assert got == one_at_a_time(vertex_to_facet_strings, X, strings)
-            assert [image is None for image in got] == dependent
             trusted = set(rng.sample(strings, len(strings) // 2))
-            got = vertex_to_facet_strings(X, strings, trusted=trusted)
-            assert got == one_at_a_time(vertex_to_facet_strings, X, strings,
-                                        trusted=trusted)
-            assert [image is None for image in got] == \
-                [bad and a not in trusted for a, bad in zip(strings, dependent)]
+            for firsts in (None, *position_kinds(strings, vertex_order, rng)):
+                got, got_firsts = vertex_to_facet_strings(X, strings, firsts)
+                assert got == one_at_a_time(vertex_to_facet_strings, X, strings)
+                assert [image is None for image in got] == dependent
+                assert bounds_hold(got, got_firsts, facet_order)
+                got, got_firsts = vertex_to_facet_strings(X, strings, firsts,
+                                                          trusted=trusted)
+                assert got == one_at_a_time(vertex_to_facet_strings, X, strings,
+                                            trusted=trusted)
+                assert [image is None for image in got] == \
+                    [bad and a not in trusted for a, bad in zip(strings, dependent)]
+                assert bounds_hold(got, got_firsts, facet_order)
 
-    def test_resuming_runs_at_most_half_the_kernel_lines(self):
+    def test_resuming_runs_at_most_a_third_of_the_kernel_lines(self):
         # the verify families of one stacking, mapped as verify_bijection
-        # maps them: 115,918 and 122,125 kernel lines against 276,138 and
-        # 279,192 on the two labellings
+        # maps them, each resumed at the positions verify passes on:
+        # 59,343 and 65,550 kernel lines against 279,036 and 282,090 for
+        # one-string calls on the two labellings
         X = random_stacked(2, 8, 1001)
         for Y in (X, relabelled(X, 1)):
-            left, right = verify_families(Y, 3, 1)
+            (left, left_firsts), (right, right_firsts) = verify_families(Y, 3, 1)
 
-            def passes(run):  # verify_bijection's three passes, each through run
-                images = run(facet_to_vertex_strings, left)
-                return images, run(vertex_to_facet_strings, images), \
-                    run(vertex_to_facet_strings, right)
+            def resumed():
+                images, image_firsts = facet_to_vertex_strings(Y, left, left_firsts)
+                return (images, vertex_to_facet_strings(Y, images, image_firsts)[0],
+                        vertex_to_facet_strings(Y, right, right_firsts)[0])
 
-            got, lines = lines_run(lambda: passes(lambda f, strings: f(Y, strings)), KERNEL)
-            expected, reference = lines_run(
-                lambda: passes(lambda f, strings: one_at_a_time(f, Y, strings)), KERNEL)
+            def one_string_calls():
+                images = one_at_a_time(facet_to_vertex_strings, Y, left)
+                return (images, one_at_a_time(vertex_to_facet_strings, Y, images),
+                        one_at_a_time(vertex_to_facet_strings, Y, right))
+
+            got, lines = lines_run(resumed, KERNEL)
+            expected, reference = lines_run(one_string_calls, KERNEL)
             assert got == expected
-            assert lines <= reference / 2
+            assert lines <= reference / 3
 
 
 def per_r_census(X):
