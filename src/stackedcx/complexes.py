@@ -234,7 +234,7 @@ class StackingTree:
     the root's entries are 0.  The sweep stops where it would reach a
     facet twice, as the graph has a cycle there; when |V| = n + d, that
     means X is not connected, and ``order`` is short.  The incidence
-    graph that :mod:`paths` sweeps for distances is built from these
+    graph that :mod:`paths` sweeps for closeness is built from these
     arrays, one ridge node per run of equal (``up``, ``port``) in
     ``order``.
     """

@@ -21,8 +21,9 @@ distinct blocks whatever the vertex labels.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from . import paths
 from .complexes import SimplicialComplex
 from .errors import InputError, OutOfRangeError
 from .partitions import (
@@ -32,7 +33,6 @@ from .partitions import (
     facet_to_vertex_strings,
     vertex_to_facet_strings,
 )
-from .paths import facet_distance_matrix, vertex_distance_matrix
 
 MAX_EXACT = 25
 
@@ -70,50 +70,48 @@ def stirling2(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """Ground set plus part count, scatter, and the distance that defines it."""
+    """Ground set, part count, scatter and, per position, the closer ones."""
 
     ground: tuple[int, ...]
     parts: int
     scatter: int
-    distance: Callable[[int, int], int]
+    near: tuple[tuple[int, ...], ...]
     kind: GroundKind
 
 
 def vertex_spec(X: SimplicialComplex, parts: int, scatter: int) -> EnumerationSpec:
-    matrix = vertex_distance_matrix(X)
-    return EnumerationSpec(ground=tuple(range(X.n_vertices)), parts=parts,
-                           scatter=scatter,
-                           distance=lambda a, b: matrix[a][b], kind="vertices")
+    return EnumerationSpec(ground=tuple(range(X.n_vertices)), parts=parts, scatter=scatter,
+                           near=paths.near(X, "vertices", scatter), kind="vertices")
 
 
 def facet_spec(X: SimplicialComplex, parts: int, scatter: int) -> EnumerationSpec:
-    matrix = facet_distance_matrix(X)
-    return EnumerationSpec(ground=tuple(range(X.n_facets)), parts=parts,
-                           scatter=scatter,
-                           distance=lambda a, b: matrix[a][b], kind="facets")
+    return EnumerationSpec(ground=tuple(range(X.n_facets)), parts=parts, scatter=scatter,
+                           near=paths.near(X, "facets", scatter), kind="facets")
 
 
 def prefix_spec(n: int, parts: int, scatter: int) -> EnumerationSpec:
     """Ground [1..n] with the integer gap as distance."""
-    return EnumerationSpec(ground=tuple(range(1, n + 1)), parts=parts,
-                           scatter=scatter,
-                           distance=lambda a, b: abs(a - b), kind="integers")
+    return EnumerationSpec(ground=tuple(range(1, n + 1)), parts=parts, scatter=scatter,
+                           near=tuple(tuple(j for j in range(max(i - scatter + 1, 0),
+                                                             min(i + scatter, n)) if j != i)
+                                      for i in range(n)), kind="integers")
 
 
 def _prefixes(spec: EnumerationSpec, order: Sequence[int],
-              fewest: int) -> Iterator[tuple[list[int], list[int], int, int]]:
+              fewest: int) -> Iterator[tuple[list[int], list[int], int, int, int]]:
     """The walk both consumers share: every placement of all positions of
     ``order`` but the last into at most ``parts`` blocks, each
     ``scatter``-scattered, from which the last position can still reach
     ``fewest`` blocks, once each, in lexicographic order along ``order``.
     Each step tries each open block in turn, then a new one, and joins a
     block only if no member already there is closer than ``scatter``: one
-    AND of the block's member steps with the step's ``close`` mask.
+    AND of the block's member steps with the step's ``close`` mask, the
+    earlier steps in its position's ``near`` list.
 
-    A placement is yielded as ``(slot, masks, k, near, lo)``: the block of
+    A placement is yielded as ``(slot, masks, k, closer, lo)``: the block of
     each position (-1 while unplaced), each block's member steps, the
     number of open blocks, the last step's close mask, so the last step may
-    join block b < k when ``near & masks[b]`` is 0, and the lowest step
+    join block b < k when ``closer & masks[b]`` is 0, and the lowest step
     re-placed since the last yield (0 at the first), which takes a higher
     block: where this placement first differs from the last one.  The lists
     are the walk's state; it never reads the last slot, which a consumer
@@ -121,18 +119,16 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
-    ground = tuple(sorted(spec.ground))
-    n = len(ground)
+    n = len(spec.ground)
     if fewest > n:
         return
     r = spec.parts
-    s = spec.scatter
-    close = [0] * n  # per step: the earlier steps closer than s
-    if s > 1:
-        dist = spec.distance
+    close = [0] * n  # per step: the earlier steps closer than scatter
+    if spec.scatter > 1:
+        bit = [0] * n  # per position: 1 << its step, once placed
         for i, e in enumerate(order):
-            close[i] = sum(1 << j for j in range(i)
-                           if dist(ground[order[j]], ground[e]) < s)
+            close[i] = sum(map(bit.__getitem__, spec.near[e]))
+            bit[e] = 1 << i
     masks = [0] * r  # member steps per block
     k = 0  # open blocks
     slot = [-1] * n  # the block of each position, -1 while unplaced
@@ -149,8 +145,8 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
             if not masks[b]:  # it opened the block, the last one
                 k -= 1
         b += 1
-        near = close[i]
-        while b < k and near & masks[b]:
+        closer = close[i]
+        while b < k and closer & masks[b]:
             b += 1
         if b < k:
             masks[b] |= 1 << i
@@ -190,12 +186,12 @@ def _growth_strings(spec: EnumerationSpec, order: Sequence[int] | None = None,
     order = list(range(len(spec.ground))) if order is None else order
     last = len(order) - 1
     first = 0  # the least position changed since the last string
-    for slot, masks, k, near, lo in _prefixes(spec, order, r):
+    for slot, masks, k, closer, lo in _prefixes(spec, order, r):
         e = order[-1]
         first = min(first, lo)
         # k == r - 1: the last element opens the missing block, whose mask is 0
         for b in range(k) if k == r else (k,):
-            if not near & masks[b]:
+            if not closer & masks[b]:
                 slot[e] = b
                 if firsts is not None:
                     firsts.append(first)
@@ -399,8 +395,8 @@ def census(X: SimplicialComplex) -> CensusReport:
     _check_exact_range(n)
     spec = vertex_spec(X, X.n_vertices, 2)
     counts = [0] * (X.n_vertices + 1)  # by vertex part number
-    for _, masks, k, near, _ in _prefixes(spec, certificate_order(X, "vertices"), 1):
-        counts[k] += sum(1 for b in range(k) if not near & masks[b])
+    for _, masks, k, closer, _ in _prefixes(spec, certificate_order(X, "vertices"), 1):
+        counts[k] += sum(1 for b in range(k) if not closer & masks[b])
         counts[k + 1] += 1
     rows = tuple(CensusRow(parts=r, vertex_parts=r + X.dim, count=counts[r + X.dim],
                            expected=stirling2(n, r))

@@ -36,8 +36,7 @@ from typing import Container, Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
-from .paths import (end_vertices, face_path, facet_distance_matrix, facet_distance_row,
-                    facet_path, vertex_distance_matrix, vertex_distance_row)
+from .paths import _check_ids, close, end_vertices, face_path, facet_path
 
 GroundKind = Literal["vertices", "facets", "integers"]
 
@@ -57,9 +56,6 @@ class Partition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def elements(self) -> list[int]:
-        return sorted(e for block in self.blocks for e in block)
 
 
 def make_partition(kind: GroundKind, blocks: Iterable[Iterable[int]],
@@ -102,25 +98,18 @@ def restrict_partition(P: Partition, keep: Iterable[int]) -> Partition:
 def is_scattered(X: SimplicialComplex, members: Iterable[int], s: int,
                  kind: GroundKind) -> bool:
     """True iff all distinct pairs are at distance >= s (vacuous on
-    singletons; every set is 1-scattered).  The distances are read off
-    one stacking-tree sweep per member but the last, or off the rows of
-    the distance matrix when the enumerator has built it."""
+    singletons; every set is 1-scattered): iff no member's close list
+    (:func:`paths.close`) holds another, one bounded sweep per member but
+    the last.  The cost is the sum of the sizes of their balls."""
     if s < 1:
         raise InputError("scatter must be >= 1")
-    if kind == "vertices":
-        row, matrix, size, noun = (vertex_distance_row, vertex_distance_matrix,
-                                   X.n_vertices, "vertex")
-    elif kind == "facets":
-        row, matrix, size, noun = facet_distance_row, facet_distance_matrix, X.n_facets, "facet"
-    else:
+    if kind not in ("vertices", "facets"):
         raise InputError(f"unknown ground kind {kind!r}")
-    items = sorted(set(members))
-    if items and not 0 <= items[0] <= items[-1] < size:
-        raise InputError(f"{noun} index outside 0..{size - 1}")
-    rows = matrix(X) if matrix.built(X) else None
-    for i, a in enumerate(items[:-1]):
-        dist = row(X, a) if rows is None else rows[a]
-        if any(dist[b] < s for b in items[i + 1:]):
+    size, noun = (X.n_vertices, "vertex") if kind == "vertices" else (X.n_facets, "facet")
+    rest = set(members)
+    _check_ids(noun, size, rest)
+    while len(rest) > 1:  # a close pair is found from whichever is popped first
+        if not rest.isdisjoint(close(X, kind, rest.pop(), s)):
             return False
     return True
 

@@ -5,22 +5,20 @@ consecutive intersections are pairwise distinct), so distances here are
 well defined.  That is because the facet-ridge incidence graph of a
 stacked complex is a tree, the *stacking tree*, which
 :func:`complexes.find_stacking_order` builds with the certificate and
-roots at facet 0: paths climb its per-facet arrays, distances and
-neighborhoods are read off its sweeps, and all raise InputError on
-complexes that are not stacked.  Walk reduction itself
+roots at facet 0: paths and distances climb its per-facet arrays,
+closeness and neighborhoods are read off its sweeps, and all raise
+InputError on complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
-A distance row, all distances from one facet or vertex, is one
-breadth-first sweep of the tree, as a graph built from the same arrays:
-a facet lies twice its facet distance deep in a sweep from another
-facet.  :func:`partitions.is_scattered` reads rows, and the two all-pairs
-matrices, which only the capped enumerator reads, take one row per facet
-or vertex.
+The elements closer than a scatter bound to an element, its *close*
+list, are one bounded sweep of the tree as a graph built from the same
+arrays; only the capped enumerator keeps every list (:func:`near`).  The
+two all-pairs matrices take distances pair by pair; only tests read them.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import (
@@ -58,6 +56,11 @@ class FacePath:
 
     def __len__(self) -> int:
         return len(self.path.facets)
+
+
+def _check_ids(noun: str, size: int, ids: Collection[int]) -> None:
+    if ids and not 0 <= min(ids) <= max(ids) < size:
+        raise InputError(f"{noun} index outside 0..{size - 1}")
 
 
 def _check_walk(X: SimplicialComplex, walk: Sequence[int]) -> list[frozenset[int]]:
@@ -117,9 +120,7 @@ def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
     ancestor facet p, which it skips when the last facets below p on the
     two sides lie across one ridge of p, that is, have the same port."""
     tree = stacking_tree(X)
-    n = X.n_facets
-    if not (0 <= f < n and 0 <= g < n):
-        raise InputError(f"facet index outside 0..{n - 1}")
+    _check_ids("facet", X.n_facets, (f, g))
     up, depth, port = tree.up, tree.depth, tree.port
     rise, fall = [f], [g]
     while rise[-1] != fall[-1]:  # climb to the lowest common ancestor
@@ -196,6 +197,7 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
 def vertex_distance(X: SimplicialComplex, v: int, w: int) -> int:
     """0 for equal vertices, 1 for facet mates, otherwise the facet count
     of the unique face path between them."""
+    _check_ids("vertex", X.n_vertices, (v, w))
     if v == w:
         return 0
     if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
@@ -230,54 +232,63 @@ def _incidence(X: SimplicialComplex) -> list[list[int]]:
     return adjacency
 
 
-def _sweep(X: SimplicialComplex, sources: Iterable[int]) -> list[int]:
-    """Breadth-first search of the stacking tree from the given facets,
-    all at depth 0: each node's depth.  A facet's depth is twice its facet
-    distance to the nearest source."""
+def _sweep(X: SimplicialComplex, sources: Iterable[int], limit: int) -> dict[int, int]:
+    """Breadth-first search of the stacking tree from the given facets, all
+    at depth 0, to depth ``limit``: the depth of each node it reaches.  A
+    facet's depth is twice its facet distance to the nearest source."""
     adjacency = _incidence(X)
-    depth = [-1] * len(adjacency)
-    nodes = list(sources)
-    for u in nodes:
-        depth[u] = 0
+    depth = dict.fromkeys(sources, 0)
+    nodes = list(depth)
     for u in nodes:
         below = depth[u] + 1
+        if below > limit:
+            break
         for w in adjacency[u]:
-            if depth[w] < 0:
+            if w not in depth:
                 depth[w] = below
                 nodes.append(w)
     return depth
 
 
-def vertex_distance_row(X: SimplicialComplex, v: int) -> list[int]:
-    """The distances from vertex v to every vertex, from one sweep.
-
-    The facets of a vertex form a subtree, so the face path of an
-    independent pair (v, w) is the tree path between their two subtrees,
-    and its facet count is one more than the least facet distance from a
-    facet of v to one of w; for facet mates that distance is 0.
-    """
-    stars = X.vertex_facets
-    depth = _sweep(X, stars[v])
-    row = [1 + min(map(depth.__getitem__, other)) // 2 for other in stars]
-    row[v] = 0
-    return row
-
-
-def facet_distance_row(X: SimplicialComplex, f: int) -> list[int]:
-    """The distances from facet f to every facet, from one sweep."""
-    return [d >> 1 for d in _sweep(X, (f,))[:X.n_facets]]
+def close(X: SimplicialComplex, kind: str, e: int, s: int) -> list[int]:
+    """The facets or vertices other than e closer than s to e, from one
+    sweep that stops there; a facet lies 2k deep at distance k.  The
+    facets of a vertex form a subtree, and two vertices on no common facet
+    are one further apart than their subtrees, so for s >= 2 the vertices
+    closer than s to e lie on the facets at most 2(s - 2) deep from e's."""
+    if s < 2:
+        return []
+    n = X.n_facets
+    if kind == "facets":
+        return [f for f in _sweep(X, (e,), 2 * s - 2) if f < n and f != e]
+    depth = _sweep(X, X.vertex_facets[e], 2 * s - 4)
+    return list({v for f in depth if f < n for v in X.facet_tuples[f]} - {e})
 
 
 @derived
+def near(X: SimplicialComplex, kind: str, s: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`close` of every facet or every vertex, built once per complex,
+    kind and s; quadratic on a star, where all edges are close at s = 2.
+    A vertex's facets and those closer than s - 1 to them are the facets
+    at most 2(s - 2) deep from its own: its list comes off the facet lists."""
+    if kind == "facets" or s < 2:
+        size = X.n_facets if kind == "facets" else X.n_vertices
+        return tuple(tuple(close(X, kind, e, s)) for e in range(size))
+    facets, mates = X.facet_tuples, near(X, "facets", s - 1)
+    return tuple(tuple({u for f in star for g in (f, *mates[f]) for u in facets[g]} - {v})
+                 for v, star in enumerate(X.vertex_facets))
+
+
 def vertex_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All vertex distances, one :func:`vertex_distance_row` per vertex."""
-    return tuple(tuple(vertex_distance_row(X, v)) for v in range(X.n_vertices))
+    """All vertex distances, pair by pair: the definition for tests."""
+    vertices = range(X.n_vertices)
+    return tuple(tuple(vertex_distance(X, v, w) for w in vertices) for v in vertices)
 
 
-@derived
 def facet_distance_matrix(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """All facet distances, one sweep from each facet."""
-    return tuple(tuple(facet_distance_row(X, f)) for f in range(X.n_facets))
+    """All facet distances, pair by pair: the definition for tests."""
+    facets = range(X.n_facets)
+    return tuple(tuple(facet_distance(X, f, g) for g in facets) for f in facets)
 
 
 @dataclass(frozen=True)
@@ -296,6 +307,7 @@ def wall_distance(X: SimplicialComplex, f: int, g: frozenset[int]) -> int:
 
     Equals 1 exactly when f contains g.
     """
+    _check_ids("facet", X.n_facets, (f,))
     return len(face_path(X, X.facets[f], g))
 
 
@@ -324,15 +336,15 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     if m == 0:
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
-    depth = _sweep(X, containing)
-    facets_m = tuple(f for f in range(X.n_facets) if depth[f] < 2 * m)
+    depth = _sweep(X, containing, 2 * m - 1)
+    facets_m = tuple(sorted(f for f in depth if f < X.n_facets))
     vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
     if m == 1:
         prev_vertices = g
     else:
         prev_vertices = frozenset(v for f in facets_m if depth[f] < 2 * m - 2
                                   for v in X.facets[f])
-    entry = {v: next(f for f in X.vertex_facets[v] if depth[f] < 2 * m)
+    entry = {v: next(f for f in X.vertex_facets[v] if f in depth)
              for v in sorted(vertices_m - prev_vertices)}
     return DistanceNeighborhood(m=m, facets=facets_m, vertices=vertices_m,
                                 entry_facets=entry)

@@ -127,7 +127,7 @@ def test_lookups_are_built_on_first_use():
     assert all(lookup.built(X) for lookup in lookups)
     assert sc.facet_distance(X, 0, 2) == 2  # climbs the tree's arrays only
     assert not sc.paths._incidence.built(X)
-    assert sc.paths.facet_distance_row(X, 0) == [0, 1, 2]
+    assert sc.paths.close(X, "facets", 0, 3) == [1, 2]
     assert sc.paths._incidence.built(X)
 
 

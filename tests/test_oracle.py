@@ -53,13 +53,23 @@ def naive_set_partitions(items):
         yield rest + [[head]]
 
 
-def naive_filtered(spec):
+def reference_distance(kind, X=None):
+    """The distance of the ground set, by definition, not read off a spec:
+    the integer gap, or the vertex or facet distance in X."""
+    if kind == "integers":
+        return lambda a, b: abs(a - b)
+    distance = sc.vertex_distance if kind == "vertices" else sc.facet_distance
+    return lambda a, b: distance(X, a, b)
+
+
+def naive_filtered(spec, X=None):
     """Enumerate-then-filter oracle for enumerate_partitions."""
+    distance = reference_distance(spec.kind, X)
     out = set()
     for blocks in naive_set_partitions(spec.ground):
         if len(blocks) != spec.parts:
             continue
-        if any(spec.distance(a, b) < spec.scatter
+        if any(distance(a, b) < spec.scatter
                for block in blocks for i, a in enumerate(block)
                for b in block[i + 1:]):
             continue
@@ -95,7 +105,7 @@ class TestEnumerate:
         X = sc.line_graph(5)
         spec = facet_spec(X, 3, 2)
         got = {P.blocks for P in enumerate_partitions(spec)}
-        assert got == naive_filtered(spec)
+        assert got == naive_filtered(spec, X)
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
@@ -110,15 +120,30 @@ class TestEnumerate:
         s = rng.randint(1, 3)
         spec = (vertex_spec if kind == "vertices" else facet_spec)(X, r, s)
         spec = type(spec)(ground=spec.ground[:ground], parts=r, scatter=s,
-                          distance=spec.distance, kind=spec.kind)
+                          near=tuple(tuple(b for b in spec.near[a] if b < ground)
+                                     for a in range(ground)), kind=spec.kind)
         got = {P.blocks for P in enumerate_partitions(spec)}
-        assert got == naive_filtered(spec)
+        assert got == naive_filtered(spec, X)
 
     def test_stirling_counts_without_scatter(self):
         for n in range(1, 8):
             for r in range(1, n + 1):
                 count = sum(1 for _ in enumerate_partitions(prefix_spec(n, r, 1)))
                 assert count == sc.stirling2(n, r)
+
+    def test_specs_are_hashable_values(self):
+        X = sc.line_graph(4)
+        for spec in (facet_spec, vertex_spec, lambda X, r, s: prefix_spec(X.n_vertices, r, s)):
+            for s in (1, 2, 3):
+                assert spec(X, 2, s) == spec(X, 2, s)
+                assert hash(spec(X, 2, s)) == hash(spec(X, 2, s))
+
+    def test_prefix_spec_lists_the_integer_window(self):
+        # both sides of it: a walk in another order reads the later positions
+        for n in range(7):
+            for s in (1, 2, 3, 10**20):
+                assert [set(w) for w in prefix_spec(n, 1, s).near] == [
+                    {j for j in range(n) if j != i and abs(i - j) < s} for i in range(n)]
 
     def test_invalid_spec(self):
         with pytest.raises(errors.InputError):
@@ -272,22 +297,23 @@ def restricted_growth_strings(n, max_blocks):
     return strings
 
 
-def reference_strings(spec):
+def reference_strings(spec, X=None):
     """The restricted-growth strings with exactly ``parts`` blocks whose
     same-block pairs are all >= scatter apart."""
     ground = sorted(spec.ground)
+    distance = reference_distance(spec.kind, X)
     close = [(i, j) for j in range(len(ground)) for i in range(j)
-             if spec.distance(ground[i], ground[j]) < spec.scatter]
+             if distance(ground[i], ground[j]) < spec.scatter]
     return [a for a in restricted_growth_strings(len(ground), spec.parts)
             if max(a, default=-1) + 1 == spec.parts
             and not any(a[i] == a[j] for i, j in close)]
 
 
-def reference_enumeration(spec):
+def reference_enumeration(spec, X=None):
     """The partitions of :func:`reference_strings`."""
     ground = sorted(spec.ground)
     out = []
-    for a in reference_strings(spec):
+    for a in reference_strings(spec, X):
         blocks = [[] for _ in range(spec.parts)]
         for e, b in zip(ground, a):
             blocks[b].append(e)
@@ -373,7 +399,7 @@ class TestLeanCore:
                 spec = vertex_spec(X, r, s)
             else:
                 spec = prefix_spec(X.n_vertices, r, s)
-            assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
+            assert list(enumerate_partitions(spec)) == reference_enumeration(spec, X)
 
     @given(both_labellings, st.sampled_from(("facets", "vertices", "integers")),
            st.integers(1, 4), st.integers(1, 3))
@@ -387,7 +413,7 @@ class TestLeanCore:
             else:
                 spec = prefix_spec(X.n_vertices, r, s)
             strings = list(oracle._growth_strings(spec))
-            assert strings == reference_strings(spec)
+            assert strings == reference_strings(spec, X)
             ground = sorted(spec.ground)
             assert [tuple(tuple(e for e, b in zip(ground, a) if b == k) for k in range(r))
                     for a in strings] == [P.blocks for P in enumerate_partitions(spec)]
@@ -402,11 +428,12 @@ class TestLeanCore:
             spec = prefix_spec(n, r, s)
             assert list(oracle._growth_strings(spec)) == strings == reference_strings(spec)
             assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
+        X = cx("1 2 3")
         for r in (1, 2):
             for s in (1, 2):
-                spec = facet_spec(cx("1 2 3"), r, s)
+                spec = facet_spec(X, r, s)
                 assert list(oracle._growth_strings(spec)) == ([(0,)] if r == 1 else [])
-                assert list(enumerate_partitions(spec)) == reference_enumeration(spec)
+                assert list(enumerate_partitions(spec)) == reference_enumeration(spec, X)
         # along the order [1, 0] the second element is placed first
         assert list(oracle._growth_strings(prefix_spec(2, 2, 1), [1, 0])) == [(1, 0)]
 

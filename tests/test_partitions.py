@@ -111,17 +111,13 @@ class TestScattered:
             sc.is_scattered(heptagon, [0, 1], 1, "edges")
 
     def test_rejects_ids_outside_the_ground_set(self, heptagon):
-        for build_matrices in (False, True):  # sweeps, then the matrices' rows
-            if build_matrices:
-                sc.paths.vertex_distance_matrix(heptagon)
-                sc.paths.facet_distance_matrix(heptagon)
-            for kind, size, noun in (("vertices", heptagon.n_vertices, "vertex"),
-                                     ("facets", heptagon.n_facets, "facet")):
-                for bad in (-1, size):
-                    for members in ([bad], [0, bad]):
-                        with pytest.raises(errors.InputError,
-                                           match=f"^{noun} index outside 0..{size - 1}$"):
-                            sc.is_scattered(heptagon, members, 1, kind)
+        for kind, size, noun in (("vertices", heptagon.n_vertices, "vertex"),
+                                 ("facets", heptagon.n_facets, "facet")):
+            for bad in (-1, size):
+                for members in ([bad], [0, bad]):
+                    with pytest.raises(errors.InputError,
+                                       match=f"^{noun} index outside 0..{size - 1}$"):
+                        sc.is_scattered(heptagon, members, 1, kind)
 
     def test_maps_reject_the_wrong_kind(self, heptagon):
         P = sc.make_partition("vertices", [range(heptagon.n_vertices)])

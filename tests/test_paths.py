@@ -267,6 +267,17 @@ class TestDistances:
         X = sc.line_graph(2)
         assert sc.vertex_distance(X, X.id_of("1"), X.id_of("3")) == 2
 
+    def test_ids_out_of_range_are_rejected(self):
+        X = sc.line_graph(3)  # the path 1-2-3-4
+        wall = frozenset({X.id_of("2")})
+        for bad in (-1, 4):
+            for v, w in ((bad, 2), (2, bad), (bad, bad)):
+                with pytest.raises(errors.InputError, match=r"^vertex index outside 0\.\.3$"):
+                    sc.vertex_distance(X, v, w)
+        for bad in (-1, 3):
+            with pytest.raises(errors.InputError, match=r"^facet index outside 0\.\.2$"):
+                sc.wall_distance(X, bad, wall)
+
     def test_distance_one_iff_share_facet(self):
         for seed in range(12):
             X = random_stacked(1 + seed % 3, 2 + seed % 6, seed)

@@ -130,12 +130,8 @@ def test_is_scattered_matches_pairwise_distances(X, seed, s):
                 members.append(e)
         expected = all(dist(X, a, b) >= s for a, b in combinations(members, 2))
         cases.append((kind, members, expected))
-    for build_matrices in (False, True):  # sweeps, then the matrices' rows
-        if build_matrices:
-            paths.vertex_distance_matrix(X)
-            paths.facet_distance_matrix(X)
-        for kind, members, expected in cases:
-            assert sc.is_scattered(X, members, s, kind) == expected
+    for kind, members, expected in cases:
+        assert sc.is_scattered(X, members, s, kind) == expected
 
 
 def test_paths_on_a_complex_that_is_not_stacked_raise():

@@ -1,13 +1,17 @@
 """The distance sweeps' graph, built from the stacking tree's arrays,
 against the facet-ridge incidence graph built from the ridge dictionary,
 which defines it: from every facet, every vertex star and the facets of
-every codimension-one face, both sweeps put each facet at the same depth."""
+every codimension-one face, both sweeps put each facet at the same depth,
+and a sweep bounded at some depth reaches the facets up to it and no
+others.  The close lists read off bounded sweeps are checked against the
+pairwise distance matrices, which define them."""
 
 from itertools import combinations
 
 import pytest
 
 import stackedcx as sc
+from stackedcx import paths
 from stackedcx.generators import all_trees, polygon_triangulations, random_stacked
 from stackedcx.paths import _sweep
 
@@ -45,11 +49,21 @@ def source_sets(X):
     yield from X.codim1_faces.values()
 
 
+def facet_depths(X, sources, limit):
+    depth = _sweep(X, sources, limit)
+    assert max(depth.values()) <= limit
+    return [depth.get(f, -1) for f in range(X.n_facets)]
+
+
 def assert_same_sweeps(X, sources=None):
     adjacency = ridge_incidence(X)
     n = X.n_facets
     for s in source_sets(X) if sources is None else sources:
-        assert _sweep(X, s)[:n] == reference_depths(adjacency, n, s), s
+        expected = reference_depths(adjacency, n, s)
+        assert facet_depths(X, s, len(adjacency)) == expected, s
+        for limit in (0, 1, 2, 4):
+            assert facet_depths(X, s, limit) == [-1 if d > limit else d
+                                                 for d in expected], (s, limit)
 
 
 def star(k):
@@ -90,8 +104,66 @@ def test_sweeps_match_the_ridge_incidence_graph(relabel):
 def test_sweeps_on_a_long_path():
     X = sc.line_graph(5000)
     assert_same_sweeps(X, [(0,), (4999,), (2500,), (17, 4000), X.vertex_facets[2500]])
+    # 11 facets and the 10 ridges between them: the sweep goes no further
+    assert len(_sweep(X, (2500,), 10)) == 21
 
 
 def test_ridges_in_one_facet_get_no_node():
     X = fan(2, 4)  # one shared ridge; the 8 others lie in one facet each
     assert len(sc.paths._incidence(X)) == X.n_facets + 1
+
+
+def assert_close_lists_match_the_matrices(X):
+    for kind, matrix in (("facets", paths.facet_distance_matrix(X)),
+                         ("vertices", paths.vertex_distance_matrix(X))):
+        for s in range(1, 6):
+            lists = paths.near(X, kind, s)
+            assert len(lists) == len(matrix)
+            for a, row in enumerate(matrix):
+                expected = {b for b, d in enumerate(row) if b != a and d < s}
+                got = paths.close(X, kind, a, s)
+                assert len(got) == len(expected) and set(got) == expected, (kind, a, s)
+                assert set(lists[a]) == expected
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_close_lists_match_the_distance_matrices(relabel):
+    for i, X in enumerate(CORPUS):
+        assert_close_lists_match_the_matrices(relabelled(X, i) if relabel else X)
+
+
+def test_is_scattered_at_scale_reads_no_close_lists():
+    X = random_stacked(2, 4000, 17)
+    # greedy blocks in certificate order, a perfect elimination order:
+    # each facet joins the first block holding no facet close to it
+    block_of = {}
+    for f in sc.partitions.certificate_order(X, "facets"):
+        taken = {block_of[g] for g in paths.close(X, "facets", f, 2) if g in block_of}
+        block_of[f] = min(set(range(len(taken) + 1)) - taken)
+    blocks = range(max(block_of.values()) + 1)
+    partitions = {
+        "scattered": sc.make_partition("facets", [[f for f in block_of if block_of[f] == b]
+                                                  for b in blocks]),
+        "by id mod 3": sc.make_partition("facets", [range(k, X.n_facets, 3) for k in range(3)])}
+    for name, Q in partitions.items():
+        image = sc.facet_to_vertex(X, Q)
+        scattered = name == "scattered"
+        assert all(sc.is_scattered(X, block, 2, "facets") for block in Q.blocks) == scattered
+        # an image is independent, and (s + 1)-scattered when Q is s-scattered
+        assert all(sc.is_scattered(X, block, 2, "vertices") for block in image.blocks)
+        assert all(sc.is_scattered(X, block, 3, "vertices")
+                   for block in image.blocks) == scattered
+    for kind, s in (("facets", 2), ("vertices", 2), ("vertices", 3)):
+        assert not paths.near.built(X, kind, s)
+
+
+def test_is_scattered_on_a_large_star_reads_no_close_lists():
+    X = star(2000)
+    leaves = [v for v in range(X.n_vertices) if v != X.id_of("c")]
+    assert sc.is_scattered(X, leaves, 2, "vertices")
+    assert not sc.is_scattered(X, leaves, 3, "vertices")
+    assert not sc.is_scattered(X, [0, 1999], 2, "facets")
+    assert sc.is_scattered(X, range(X.n_facets), 1, "facets")
+    for kind in ("facets", "vertices"):
+        for s in (1, 2, 3):
+            assert not paths.near.built(X, kind, s)
