@@ -25,17 +25,22 @@ ZERO_DIMENSION = "facets must have at least two vertices"
 
 
 def token_sort_key(token: str) -> tuple:
-    """Numeric tokens first, ordered by value; everything else lexicographic."""
+    """Numeric tokens first, ordered by value; everything else lexicographic.
+    A value is compared by its digits without leading zeros, shorter
+    first, so no token is converted and none is too long to order."""
     if _NUMERIC.match(token):
-        return (0, int(token), token)
-    return (1, 0, token)
+        digits = token.lstrip("0")
+        return (0, len(digits), digits, token)
+    return (1, token)
 
 
 def derived(build):
     """Memoise ``build(X, *args)`` per complex X, under ``build`` itself
     when there are no further arguments and under ``(build, args)``
     otherwise.  Everything a complex derives lazily is kept this way, in
-    its one memo; ``.built(X, *args)`` tells whether the value is built."""
+    its one memo; ``.built(X, *args)`` tells whether the value is built,
+    and ``.seed(X, value, *args)`` stores a value known in closed form, so
+    that ``build`` never runs for it."""
     @wraps(build)
     def get(X, *args):
         key = (build, args) if args else build
@@ -46,7 +51,11 @@ def derived(build):
         value = X._cache[key] = build(X, *args)
         return value
 
+    def seed(X, value, *args):
+        X._cache[(build, args) if args else build] = value
+
     get.built = lambda X, *args: ((build, args) if args else build) in X._cache
+    get.seed = seed
     return get
 
 
@@ -66,15 +75,20 @@ class SimplicialComplex:
     from the facets are built on first use, through :func:`derived`.
     """
 
-    __slots__ = ("labels", "facets", "facet_tuples", "dim", "_cache")
+    __slots__ = ("labels", "facet_tuples", "dim", "_cache")
 
     def __init__(self, labels: tuple[str, ...], facet_tuples: tuple[tuple[int, ...], ...]):
         # Internal constructor; use build_complex() or complex_from_ids().
         self.labels = labels
         self.facet_tuples = facet_tuples
-        self.facets = tuple(map(frozenset, facet_tuples))
         self.dim = len(facet_tuples[0]) - 1
         self._cache: dict = {}  # the memo of derived()
+
+    @property
+    @derived
+    def facets(self) -> tuple[frozenset[int], ...]:
+        """The facets as vertex-id sets, in the order of ``facet_tuples``."""
+        return tuple(map(frozenset, self.facet_tuples))
 
     @derived
     def _ids(self) -> dict[str, int]:
@@ -86,7 +100,7 @@ class SimplicialComplex:
 
     @property
     def n_facets(self) -> int:
-        return len(self.facets)
+        return len(self.facet_tuples)
 
     @property
     def n_vertices(self) -> int:
@@ -137,11 +151,11 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.labels == other.labels and self.facets == other.facets
+        return self.labels == other.labels and self.facet_tuples == other.facet_tuples
 
     @derived
     def __hash__(self) -> int:
-        return hash((self.labels, self.facets))
+        return hash((self.labels, self.facet_tuples))
 
     def __repr__(self) -> str:
         return (f"SimplicialComplex(dim={self.dim}, facets={self.n_facets}, "
@@ -192,13 +206,21 @@ def canonical_complex(facet_list: Sequence[Sequence[str]]) -> SimplicialComplex:
     return complex_from_ids(labels, [tuple(sorted(map(ids, tokens))) for tokens in facet_list])
 
 
-def complex_from_ids(labels: tuple[str, ...],
-                     facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
+def complex_from_ids(labels: tuple[str, ...], facets: Iterable[tuple[int, ...]], *,
+                     tree: "StackingTree | None" = None) -> SimplicialComplex:
     """The complex :func:`build_complex` returns for the tokens of these
     facets, built from ids: ``labels`` are in canonical token order, each
     facet is a sorted tuple of ids, and nothing is validated.  Facets are
-    stored sorted, so any facet order gives the same complex."""
-    return SimplicialComplex(labels, tuple(sorted(facets)))
+    stored sorted, so any facet order gives the same complex.
+
+    ``tree``, when given, is the stacking tree of a stacked complex, over
+    the facets as stored, known in closed form: it and its certificate go
+    into the memo as they are, so nothing is swept for them."""
+    X = SimplicialComplex(labels, tuple(sorted(facets)))
+    if tree is not None:
+        _tree.seed(X, tree)
+        find_stacking_order.seed(X, tree.certificate())
+    return X
 
 
 def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
@@ -209,7 +231,7 @@ def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
 
 def dual_adjacency(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """Undirected facet graph: an edge where two facets share a codim-1 face."""
-    neighbours: list[set[int]] = [set() for _ in X.facets]
+    neighbours: list[set[int]] = [set() for _ in X.facet_tuples]
     for members in X.codim1_faces.values():
         for a, b in combinations(members, 2):
             neighbours[a].add(b)
@@ -237,9 +259,28 @@ class StackingTree:
     graph that :mod:`paths` sweeps for closeness is built from these
     arrays, one ridge node per run of equal (``up``, ``port``) in
     ``order``.
+
+    The sweep is the definition.  A complex whose tree is known in closed
+    form arrives with it filled (:meth:`filled`, through
+    :func:`complex_from_ids`): the line graphs of :mod:`natline` do, and
+    never build ``codim1_faces`` or ``facets`` for it.
     """
 
     __slots__ = ("order", "up", "free", "port", "depth")
+
+    @classmethod
+    def filled(cls, order: list[int], up: list[int], free: list[int], port: list[int],
+               depth: list[int]) -> "StackingTree":
+        """The tree with these arrays, trusted to equal the sweep's."""
+        tree = cls.__new__(cls)
+        tree.order, tree.up, tree.free, tree.port, tree.depth = order, up, free, port, depth
+        return tree
+
+    def certificate(self) -> StackingOrder:
+        """The stacking order read off a spanning tree: the facets in
+        ``order``, each after the first with its free vertex."""
+        return StackingOrder(tuple(self.order),
+                             tuple(map(self.free.__getitem__, self.order[1:])))
 
     def __init__(self, X: SimplicialComplex):
         index = X.codim1_faces
@@ -278,7 +319,7 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     if X.n_vertices == X.n_facets + X.dim:
         tree = _tree(X)
         if len(tree.order) == X.n_facets:
-            return StackingOrder(tuple(tree.order), tuple(tree.free[c] for c in tree.order[1:]))
+            return tree.certificate()
     return None
 
 

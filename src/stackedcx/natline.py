@@ -8,10 +8,11 @@ one higher, and the refinement is compatible with growing the prefix.
 Prefix partitions are validated by :func:`partitions.make_partition`.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import SimplicialComplex, complex_from_ids
+from .complexes import SimplicialComplex, StackingTree, complex_from_ids
 from .errors import InputError
 from .partitions import Partition, facet_to_vertex, make_partition
 
@@ -48,11 +49,19 @@ def line_graph(n: int) -> SimplicialComplex:
     """The tree with edges {i, i+1} for i = 1..n, equal to the complex
     :func:`complexes.build_complex` makes of them, built from ids with no
     token parsing.  Integer k is vertex k - 1 and edge i is facet i - 1.
+
+    Its stacking tree arrives filled: the sweep from facet 0 reaches the
+    facets in id order, each c > 0 across the ridge {c} of its parent
+    c - 1, whose other vertex c - 1 is its port, while c + 1 is its free
+    vertex and c its depth.
     """
     if n < 1:
         raise InputError("line graph needs at least one edge")
+    ids = list(range(n + 1))
+    up = [0, *ids[:n - 1]]
+    tree = StackingTree.filled(ids[:n], up, [0, *ids[2:]], up[:], ids[:n])
     return complex_from_ids(tuple(map(str, range(1, n + 2))),
-                            zip(range(n), range(1, n + 1)))
+                            zip(range(n), range(1, n + 1)), tree=tree)
 
 
 def refine_once(P: PrefixPartition) -> PrefixPartition:
@@ -61,7 +70,9 @@ def refine_once(P: PrefixPartition) -> PrefixPartition:
 
     Edge i of L_n is facet i - 1 and integer k is vertex k - 1
     (:func:`line_graph`), so the blocks need no token lookups; the step is
-    O(n): L_n, its stacking tree and the map's pass over that tree.
+    O(n): L_n, its stacking tree and the map's pass over that tree.  The
+    tree is filled in closed form, so no ridge index, facet set or sweep
+    is built.
     """
     X = line_graph(P.n)
     Q = Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))
@@ -83,7 +94,7 @@ def restrict_prefix(P: PrefixPartition, n: int) -> PrefixPartition:
     """Intersect every block with [1..n], dropping emptied blocks."""
     if not 1 <= n <= P.n:
         raise InputError(f"cannot restrict prefix of length {P.n} to {n}")
-    blocks = [tuple(e for e in block if e <= n) for block in P.blocks]
+    blocks = [block[:bisect_right(block, n)] for block in P.blocks]  # blocks are sorted
     return make_prefix_partition(n, [b for b in blocks if b])
 
 

@@ -143,38 +143,56 @@ def certificate_order(X: SimplicialComplex, kind: GroundKind) -> list[int]:
 @derived
 def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     """The pass of :func:`_labels` that labels the facets or the vertices
-    of X, built once per complex and kind: a step (its index, slot of p's
-    row, slot of c's row, edge_at, edge_source, lookup_at, element) per
-    facet c after the root, p its parent, in certificate order; the root's
-    elements labelled 0, 1, ...; their count; the number of facets; and
-    the root count of the input kind, the other one: the root facet's
-    elements of that kind (1 facet or d + 1 vertices).  c's slot is -1
-    when c has no children, p's when c is p's last child, else c.
+    of X, built once per complex and kind: the steps as seven columns,
+    with a step (its index, slot of p's row, slot of c's row, edge_at,
+    edge_source, lookup_at, element) per facet c after the root, p its
+    parent, in certificate order; the root's elements labelled 0, 1, ...;
+    their count; the number of facets; and the root count of the input
+    kind, the other one: the root facet's elements of that kind (1 facet
+    or d + 1 vertices).  c's slot is -1 when c has no children, p's when c
+    is p's last child, else c.  Only the slots take a Python loop, over
+    the facets with children; the columns are read off the tree whole.
     """
     tree = stacking_tree(X)
-    order, up, port, free = tree.order, tree.up, tree.port, tree.free
-    n = X.n_facets
-    last = {up[c]: c for c in order[1:]}  # each parent's last child
-    slot = [0] * n
-    steps = []
-    for i, c in enumerate(order[1:]):
-        p = up[c]
-        slot[c] = -1 if c not in last else slot[p] if last[p] == c else c
-        ends = (p, port[c], c, free[c]) if kind == "vertices" else (port[c], p, free[c], c)
-        steps.append((i, slot[p], slot[c], *ends))
+    up, n = tree.up, X.n_facets
+    children = tree.order[1:]
+    parents, ports, frees = (list(map(a.__getitem__, children))
+                             for a in (up, tree.port, tree.free))
+    last = dict(zip(parents, children))  # each parent's last child, in certificate order
+    slot = [-1] * n
+    slot[0] = 0
+    for c in last:
+        if c:
+            p = up[c]
+            slot[c] = slot[p] if last[p] == c else c
+    ends = ((parents, ports, children, frees) if kind == "vertices"
+            else (ports, parents, frees, children))
+    columns = (range(n - 1), *(list(map(slot.__getitem__, a)) for a in (parents, children)),
+               *ends)
     roots = X.facet_tuples[0] if kind == "vertices" else (0,)
     label = [-1] * (X.n_vertices if kind == "vertices" else n)
     for i, e in enumerate(roots):
         label[e] = i
-    return steps, label, len(roots), n, 1 if kind == "vertices" else X.dim + 1
+    return columns, label, len(roots), n, 1 if kind == "vertices" else X.dim + 1
 
 
-def _labels(plan: tuple, strings: Sequence[Sequence[int]], firsts: Iterable[int] | None = None
-            ) -> tuple[list[tuple[int, ...]], list[int]]:
+@derived
+def _listed(X: SimplicialComplex, kind: GroundKind) -> tuple:
+    """:func:`_pass` with its steps listed as tuples, which the kernel runs
+    faster than it zips the columns: worth building for a pass run again."""
+    columns, *rest = _pass(X, kind)
+    return (list(zip(*columns)), *rest)
+
+
+def _labels(X: SimplicialComplex, kind: GroundKind, strings: Sequence[Sequence[int]],
+            firsts: Iterable[int] | None = None) -> tuple[list[tuple[int, ...]], list[int]]:
     """Each string's elements labelled by their class in the equivalence
     one pass over the stacking tree builds, as a string in certificate
-    form: both maps, which differ only in their :func:`_pass`.  A string
-    gives each input element its block, in any numbering.
+    form: both maps, which differ only in their :func:`_pass`, the one
+    labelling ``kind``.  A string gives each input element its block, in
+    any numbering.  A pass runs its steps as :func:`_listed` when it runs
+    more than once, in this call or since its columns were built, and
+    zips its columns otherwise.
 
     The root facet's elements get classes 0, 1, ...  Each later facet c,
     in certificate order and with parent p, takes p's row, a map from
@@ -238,12 +256,16 @@ def _labels(plan: tuple, strings: Sequence[Sequence[int]], firsts: Iterable[int]
     a next string.  Step i writes only output position i + n_roots, so each
     result comes with the bound ``start + n_roots`` (0 for the first).
     """
-    steps, label, n_roots, n, roots = plan
+    keep = len(strings) > 1
+    if keep or _pass.built(X, kind):
+        steps, label, n_roots, n, roots = _listed(X, kind)
+    else:
+        columns, label, n_roots, n, roots = _pass(X, kind)
+        steps = zip(*columns)
     label = label[:]
     base: dict[int, int] = {}  # the class of each block's root region
     rows: list = [{}] + [None] * (n - 1)
     log: list = []  # (step, dict, key, value before or None) per lasting write
-    keep = len(strings) > 1
     out, ends = [], []  # the results and their bounds
     for block_of, first in zip(strings, repeat(0) if firsts is None else firsts):
         start = first - roots if first > roots and out else 0
@@ -253,7 +275,8 @@ def _labels(plan: tuple, strings: Sequence[Sequence[int]], firsts: Iterable[int]
                 del held[key]
             else:
                 held[key] = old
-        for i, above, at, edge_at, source, lookup_at, element in steps[start:]:
+        for i, above, at, edge_at, source, lookup_at, element in (
+                steps[start:] if start else steps):
             row = rows[above]
             k, j = block_of[edge_at], block_of[lookup_at]
             if at < 0:  # c has no children: its row is read only here
@@ -321,14 +344,14 @@ def vertex_to_facet(X: SimplicialComplex, P: Partition) -> Partition:
     block_of = _index_cover(P, "vertices", X.n_vertices)
     if not _independent(X, block_of):
         raise NotIndependentError("a block has two vertices on one facet")
-    [label], _ = _labels(_pass(X, "facets"), [block_of])
+    [label], _ = _labels(X, "facets", [block_of])
     return Partition(kind="facets", blocks=_blocks(label))
 
 
 def facet_to_vertex(X: SimplicialComplex, Q: Partition) -> Partition:
     """Map any facet partition to the induced vertex partition."""
     block_of = _index_cover(Q, "facets", X.n_facets)
-    [label], _ = _labels(_pass(X, "vertices"), [block_of])
+    [label], _ = _labels(X, "vertices", [block_of])
     return Partition(kind="vertices", blocks=_blocks(label))
 
 
@@ -340,7 +363,7 @@ def facet_to_vertex_strings(X: SimplicialComplex, strings: Sequence[tuple[int, .
     partition in certificate form.  The strings are trusted, not
     validated.  One pass of the kernel maps them all, resuming each at its
     bound in ``firsts`` (:func:`_labels`), and returns them with theirs."""
-    return _labels(_pass(X, "vertices"), strings, firsts)
+    return _labels(X, "vertices", strings, firsts)
 
 
 def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]],
@@ -352,15 +375,14 @@ def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, .
     independent maps to None, with bound 0; the test is skipped on strings
     in ``trusted``, which the caller knows to be independent.  The bounds
     of the others, in and out, compare each with the last one kept."""
-    plan = _pass(X, "facets")
     independent = [a in trusted or _independent(X, a) for a in strings]
     if all(independent):
-        return _labels(plan, strings, firsts)
+        return _labels(X, "facets", strings, firsts)
     firsts = [0] * len(strings) if firsts is None else firsts
     kept = list(compress(range(len(strings)), independent))
     # the least bound over a kept string and those dropped just before it
     lows = [min(firsts[u + 1:t + 1]) for u, t in zip([-1, *kept], kept)]
-    labels, ends = map(iter, _labels(plan, [strings[t] for t in kept], lows))
+    labels, ends = map(iter, _labels(X, "facets", [strings[t] for t in kept], lows))
     return ([next(labels) if ok else None for ok in independent],
             [next(ends) if ok else 0 for ok in independent])
 

@@ -80,22 +80,37 @@ def facet_token(X: SimplicialComplex, i: int) -> str:
 
 def _parse_blocks(text: str, resolve, universe_size: int,
                   describe: str) -> list[list[int]]:
+    """The blocks of a partition file, one per line, as ids:
+    ``resolve(tokens, ln)`` gives the ids of one line's tokens and raises
+    :class:`UnknownTokenError` on the first it cannot resolve.  A line
+    that fails, or repeats an element, is read again token by token, so
+    the error names the first token at fault as the line reads."""
     blocks: list[list[int]] = []
     owner: dict[int, int] = {}
     for ln, tokens in _content_lines(text):
-        block = []
-        for tok in tokens:
-            e = resolve(tok, ln)
-            if e in owner:
-                raise OverlapError(f"{tok!r} already in the block on line "
-                                   f"{owner[e]}", line=ln)
-            owner[e] = ln
-            block.append(e)
+        try:
+            block = resolve(tokens, ln)
+        except UnknownTokenError:
+            block = None
+        if block is None or len(set(block)) < len(block) or not owner.keys().isdisjoint(block):
+            # raises at the first token at fault
+            for tok in tokens:
+                [e] = resolve([tok], ln)
+                if e in owner:
+                    raise OverlapError(f"{tok!r} already in the block on line "
+                                       f"{owner[e]}", line=ln)
+                owner[e] = ln
+        owner.update(dict.fromkeys(block, ln))
         blocks.append(block)
     if len(owner) < universe_size:
         raise MissingElementError(
             f"{universe_size - len(owner)} {describe} not covered")
     return blocks
+
+
+def _each(resolve):
+    """A line resolver for :func:`_parse_blocks` from a token resolver."""
+    return lambda tokens, ln: [resolve(tok, ln) for tok in tokens]
 
 
 def parse_vertex_partition(text: str, X: SimplicialComplex) -> Partition:
@@ -105,7 +120,7 @@ def parse_vertex_partition(text: str, X: SimplicialComplex) -> Partition:
         except InputError:
             raise UnknownTokenError(f"unknown vertex {tok!r}", line=ln) from None
 
-    blocks = _parse_blocks(text, resolve, X.n_vertices, "vertices")
+    blocks = _parse_blocks(text, _each(resolve), X.n_vertices, "vertices")
     return make_partition("vertices", blocks, range(X.n_vertices))
 
 
@@ -118,15 +133,29 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
         except InputError:
             raise UnknownTokenError(f"unknown facet {tok!r}", line=ln) from None
 
-    blocks = _parse_blocks(text, resolve, X.n_facets, "facets")
+    blocks = _parse_blocks(text, _each(resolve), X.n_facets, "facets")
     return make_partition("facets", blocks, range(X.n_facets))
 
 
 def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
-    def resolve(tok: str, ln: int) -> int:
-        if not _NUMERIC.match(tok) or not 1 <= int(tok) <= n:
-            raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
-        return int(tok)
+    width = len(str(n))
+
+    def resolve(tokens: list[str], ln: int) -> list[int]:
+        # a line of plain digits no wider than n converts at once; a
+        # longer token is past n whatever its digits, and is never
+        # converted, as int() refuses more than 4,300 digits
+        if _NUMERIC.match("".join(tokens)) and max(map(len, tokens)) <= width:
+            block = list(map(int, tokens))
+            if min(block) >= 1 and max(block) <= n:
+                return block
+        block = []
+        for tok in tokens:
+            digits = tok.lstrip("0")
+            if (not _NUMERIC.match(tok) or len(digits) > width
+                    or not 1 <= int(digits or "0") <= n):
+                raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
+            block.append(int(digits))
+        return block
 
     blocks = _parse_blocks(text, resolve, n, "integers")
     return make_prefix_partition(n, blocks)

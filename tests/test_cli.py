@@ -113,6 +113,14 @@ class TestCheck:
         cert = sc.StackingOrder(order=tuple(order), free_vertices=tuple(free))
         assert sc.replay_stacking_order(X, cert)
 
+    def test_huge_numeric_token_is_ordered_by_value(self, capsys, tmp_path):
+        big = "1" + "0" * 4999  # past the digits int() converts
+        path = tmp_path / "x.cx"
+        path.write_text(f"10 9\n9 {big}\n")
+        assert run(capsys, "check", str(path)) == (
+            0, "dimension=1\nfacets=2\nvertices=3\nstacked=yes\n"
+            f"stacking: 9,10 {big}+9,{big}\n", "")
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 3\n"))
@@ -360,6 +368,23 @@ class TestNat:
                              "-n", "2", "--steps", "1")
         assert code == 1 and out == ""
         assert repr(token) in err and "Traceback" not in err
+
+    def test_huge_numeric_token_exits_one(self, capsys, tmp_path):
+        big = "1" + "0" * 4999  # past the digits int() converts
+        pattern = tmp_path / "p.part"
+        pattern.write_text(f"1 {big}\n2\n")
+        code, out, err = run(capsys, "nat", "--pattern", str(pattern),
+                             "-n", "2", "--steps", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: line 1: token {big!r} outside [1..2]\n"
+
+    def test_leading_zeros_of_any_length_read_as_the_value(self, capsys, tmp_path):
+        pattern = tmp_path / "p.part"
+        pattern.write_text("0" * 5000 + "1 3\n2\n")
+        zeros = run(capsys, "nat", "--pattern", str(pattern), "-n", "3")
+        pattern.write_text("1 3\n2\n")
+        assert zeros == run(capsys, "nat", "--pattern", str(pattern), "-n", "3")
+        assert zeros[0] == 0
 
     def test_colimit_failure_exits_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "check_colimit_compatibility",

@@ -138,3 +138,31 @@ def test_sweep_stops_at_a_cycle():
                           ["4", "5"], ["5", "6"]])
     assert [X.facet_tokens(f) for f in StackingTree(X).order] == [
         ("1", "2"), ("1", "4"), ("2", "3"), ("3", "4"), ("4", "5")]
+
+
+@pytest.mark.parametrize("sizes", [range(1, 301), [10_000]], ids=["1-300", "10000"])
+def test_line_graph_tree_is_filled_as_swept(sizes):
+    """line_graph fills its tree and certificate in closed form, building
+    no ridge index for them; the sweep of the same facets with nothing
+    seeded and the bipartite search that defines the tree agree."""
+    for n in sizes:
+        X = sc.line_graph(n)
+        filled, cert = arrays(stacking_tree(X)), find_stacking_order(X)
+        assert not SimplicialComplex.codim1_faces.fget.built(X)
+        Y = complex_from_ids(X.labels, X.facet_tuples)
+        assert filled == arrays(stacking_tree(Y)) == bipartite_sweep(Y)
+        assert cert == find_stacking_order(Y) == sc.StackingOrder(
+            tuple(range(n)), tuple(range(2, n + 1)))
+        assert replay_stacking_order(X, cert)
+
+
+def test_numeric_tokens_are_ordered_by_value_and_then_as_text():
+    rng = random.Random(5)
+    tokens = list({"0" * rng.randrange(3) + str(rng.randrange(10 ** rng.randrange(1, 6)))
+                   for _ in range(500)} | {"a", "0a", "10a", "-1", "+2"})
+    numeric = sorted((t for t in tokens if t.isdigit()), key=lambda t: (int(t), t))
+    rest = sorted(t for t in tokens if not t.isdigit())
+    assert sorted(tokens, key=token_sort_key) == numeric + rest
+    big = "9" * 5000  # past the digits int() converts
+    assert sorted([big, "0" + big, "1" + big[1:] + "0", "7"], key=token_sort_key) == [
+        "7", "0" + big, big, "1" + big[1:] + "0"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import errors
+from stackedcx import complexes, errors, natline
 
 
 def prefix(n, *blocks):
@@ -186,3 +186,28 @@ class TestPrefixPartition:
             with pytest.raises(errors.InputError,
                                match=f"^cannot restrict prefix of length 3 to {n}$"):
                 sc.restrict_prefix(P, n)
+
+
+def test_refining_a_long_prefix_builds_no_sweep(monkeypatch):
+    """refine_once and the colimit check on a 10^5-integer prefix: each
+    line graph arrives with its tree and certificate in the memo, and
+    builds neither the ridge index, which a sweep reads first, nor the
+    facet sets."""
+    graphs = []
+    real = natline.line_graph
+
+    def recording(n):
+        graphs.append(real(n))
+        return graphs[-1]
+
+    monkeypatch.setattr(natline, "line_graph", recording)
+    n = 10 ** 5
+    P = prefix(n, *(range(r, n + 1, 3) for r in (1, 2, 3)))
+    refined = sc.refine_once(P)
+    assert refined.n == n + 1 and refined.n_blocks == 4
+    assert sc.check_colimit_compatibility(P, refined=refined)
+    assert [X.n_facets for X in graphs] == [n, n - 1]
+    for X in graphs:
+        assert complexes._tree.built(X) and complexes.find_stacking_order.built(X)
+        assert not sc.SimplicialComplex.codim1_faces.fget.built(X)
+        assert not sc.SimplicialComplex.facets.fget.built(X)

@@ -52,6 +52,13 @@ class TestPartitionBasics:
         with pytest.raises(errors.NotAPartitionError):
             sc.make_partition("vertices", [[1, 2], [2, 3]])
 
+    @pytest.mark.parametrize("blocks, e", [
+        ([[1, 1, 2]], 1), ([[3], [1, 2, 3, 3]], 3), ([[2, 5, 5], [1, 5]], 5),
+        ([[4, 2], [2, 2]], 2)])
+    def test_names_the_least_element_seen_twice(self, blocks, e):
+        with pytest.raises(errors.NotAPartitionError, match=f"^element {e} in two blocks$"):
+            sc.make_partition("vertices", blocks)
+
     def test_rejects_empty_block(self):
         with pytest.raises(errors.NotAPartitionError):
             sc.make_partition("vertices", [[1], []])

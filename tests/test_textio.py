@@ -116,6 +116,42 @@ class TestParsePartition:
         with pytest.raises(errors.UnknownTokenError):
             parse_prefix_partition("1 5\n2 3 4\n", 4)
 
+    @pytest.mark.parametrize("kind, text, error, message", [
+        ("prefix", "1 2 1\n3 4 5\n", "OverlapError",
+         "line 1: '1' already in the block on line 1"),
+        ("prefix", "1 2\n3 2 9\n4 5\n", "OverlapError",
+         "line 2: '2' already in the block on line 1"),
+        ("prefix", "1 2\n3 9 2\n4 5\n", "UnknownTokenError",
+         "line 2: token '9' outside [1..5]"),
+        ("prefix", "1 2\n3 04 4\n5\n", "OverlapError",
+         "line 2: '4' already in the block on line 2"),
+        ("prefix", "1 2 3\n4 0\n", "UnknownTokenError", "line 2: token '0' outside [1..5]"),
+        ("prefix", "1 x\n", "UnknownTokenError", "line 1: token 'x' outside [1..5]"),
+        ("prefix", "1 2\n3 4\n", "MissingElementError", "1 integers not covered"),
+        ("vertices", "1 2 1\n3 4\n", "OverlapError",
+         "line 1: '1' already in the block on line 1"),
+        ("vertices", "1 2\n3 2 9\n4\n", "OverlapError",
+         "line 2: '2' already in the block on line 1"),
+        ("vertices", "1 2\n3 9 2\n4\n", "UnknownTokenError", "line 2: unknown vertex '9'"),
+        ("facets", "1,2 2,1\n2,3 3,4\n", "OverlapError",
+         "line 1: '2,1' already in the block on line 1"),
+        ("facets", "1,2\n2,3 3,2 1,3\n", "OverlapError",
+         "line 2: '3,2' already in the block on line 2"),
+        ("facets", "1,2\n1,3 2,3 2,3\n", "UnknownTokenError", "line 2: unknown facet '1,3'"),
+    ])
+    def test_a_faulty_line_names_its_first_bad_token(self, kind, text, error, message):
+        # a line is resolved whole; the token at fault is found as the line reads
+        X = sc.line_graph(3)
+        parse = {"prefix": lambda: parse_prefix_partition(text, 5),
+                 "vertices": lambda: parse_vertex_partition(text, X),
+                 "facets": lambda: parse_facet_partition(text, X)}[kind]
+        with pytest.raises(getattr(errors, error)) as info:
+            parse()
+        assert str(info.value) == message
+
+    def test_prefix_tokens_with_leading_zeros(self):
+        assert parse_prefix_partition("00001 2 3\n4 05\n", 5).blocks == ((1, 2, 3), (4, 5))
+
     def test_format_line(self):
         X = sc.line_graph(5)
         P = vpart(X, "1 3 5 | 2 6 | 4")
