@@ -342,8 +342,9 @@ def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:
         return False
     seen: set[int] = set()
     walls: set[frozenset[int]] = set()  # codim-1 faces of earlier facets
+    facets = X.facets
     for p, f in enumerate(cert.order):
-        facet = X.facets[f]
+        facet = facets[f]
         if p:
             v = cert.free_vertices[p - 1]
             if v not in facet or v in seen or facet - {v} not in walls:

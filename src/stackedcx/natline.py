@@ -8,7 +8,6 @@ one higher, and the refinement is compatible with growing the prefix.
 Prefix partitions are validated by :func:`partitions.make_partition`.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -94,7 +93,7 @@ def restrict_prefix(P: PrefixPartition, n: int) -> PrefixPartition:
     """Intersect every block with [1..n], dropping emptied blocks."""
     if not 1 <= n <= P.n:
         raise InputError(f"cannot restrict prefix of length {P.n} to {n}")
-    blocks = [block[:bisect_right(block, n)] for block in P.blocks]  # blocks are sorted
+    blocks = [tuple(e for e in block if e <= n) for block in P.blocks]
     return make_prefix_partition(n, [b for b in blocks if b])
 
 

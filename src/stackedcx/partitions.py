@@ -400,14 +400,14 @@ def vertex_to_facet_generators(X: SimplicialComplex,
                                P: Partition) -> list[GeneratorPair]:
     """The facet pairs :func:`vertex_to_facet` closes over, with witnesses."""
     block_of = _index_cover(P, "vertices", X.n_vertices)
-    out = []
+    out, facets = [], X.facet_tuples
     for i, j in combinations(range(X.n_facets), 2):
         path = facet_path(X, i, j)
         v, w = end_vertices(X, path)
         b = block_of[v]
         if block_of[w] != b:
             continue
-        if any(block_of[u] == b for f in path.facets[1:-1] for u in X.facets[f]):
+        if any(block_of[u] == b for f in path.facets[1:-1] for u in facets[f]):
             continue
         out.append(GeneratorPair(a=i, b=j, witness=path.facets))
     return out

@@ -66,9 +66,9 @@ def _check_ids(noun: str, size: int, ids: Collection[int]) -> None:
 def _check_walk(X: SimplicialComplex, walk: Sequence[int]) -> list[frozenset[int]]:
     if not walk:
         raise InputError("empty walk")
-    inters = []
+    inters, facets = [], X.facets
     for a, b in zip(walk, walk[1:]):
-        g = X.facets[a] & X.facets[b]
+        g = facets[a] & facets[b]
         if len(g) != X.dim:
             raise InputError(
                 f"facets {X.facet_tokens(a)} and {X.facet_tokens(b)} do not "
@@ -93,10 +93,10 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
     right: the first intersection seen twice triggers a cut.  On a stacked
     complex the result does not depend on this order.
     """
-    facets = list(walk)
+    facets, sets = list(walk), X.facets
     _check_walk(X, facets)
     while True:
-        inters = [X.facets[a] & X.facets[b] for a, b in zip(facets, facets[1:])]
+        inters = [sets[a] & sets[b] for a, b in zip(facets, facets[1:])]
         first_at: dict[frozenset[int], int] = {}
         hit = None
         for j, g in enumerate(inters):
@@ -130,9 +130,9 @@ def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
             fall.append(up[fall[-1]])
     if len(rise) > 1 and len(fall) > 1 and port[rise[-2]] == port[fall[-2]]:
         rise.pop()  # children across one ridge meet in it, not at their parent
-    facets = tuple(rise + fall[-2::-1])
+    facets, sets = tuple(rise + fall[-2::-1]), X.facets
     return FacetPath(facets=facets, intersections=tuple(
-        X.facets[a] & X.facets[b] for a, b in zip(facets, facets[1:])))
+        sets[a] & sets[b] for a, b in zip(facets, facets[1:])))
 
 
 def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
@@ -151,7 +151,8 @@ def _facets_containing(X: SimplicialComplex, face: frozenset) -> list[int]:
     v = next(iter(face))
     if not isinstance(v, int) or not 0 <= v < X.n_vertices:
         return []
-    return [f for f in X.vertex_facets[v] if face <= X.facets[f]]
+    facets = X.facets
+    return [f for f in X.vertex_facets[v] if face <= facets[f]]
 
 
 def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FacePath:
@@ -178,7 +179,8 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         raise NotAFaceError(f"{sorted(k)} is not a face")
     if h == k:
         raise NotSeparatedError("equal faces have no path between them")
-    both = [i for i in containing_h if k <= X.facets[i]]
+    facets = X.facets
+    both = [i for i in containing_h if k <= facets[i]]
     if len(both) >= 2:
         raise NotSeparatedError(
             "face union lies in two facets: no unique path")
@@ -186,9 +188,9 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         return FacePath(h=h, k=k, path=FacetPath(facets=(both[0],), intersections=()))
 
     full = facet_path(X, containing_h[0], containing_k[0])
-    i = max(idx for idx, fi in enumerate(full.facets) if h <= X.facets[fi])
+    i = max(idx for idx, fi in enumerate(full.facets) if h <= facets[fi])
     j = min(idx for idx in range(i, len(full.facets))
-            if k <= X.facets[full.facets[idx]])
+            if k <= facets[full.facets[idx]])
     trimmed = FacetPath(facets=full.facets[i:j + 1],
                         intersections=full.intersections[i:j])
     return FacePath(h=h, k=k, path=trimmed)
@@ -337,13 +339,13 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
         return DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
 
     depth = _sweep(X, containing, 2 * m - 1)
-    facets_m = tuple(sorted(f for f in depth if f < X.n_facets))
-    vertices_m = frozenset(v for f in facets_m for v in X.facets[f])
+    facets_m, facets = tuple(sorted(f for f in depth if f < X.n_facets)), X.facet_tuples
+    vertices_m = frozenset(v for f in facets_m for v in facets[f])
     if m == 1:
         prev_vertices = g
     else:
         prev_vertices = frozenset(v for f in facets_m if depth[f] < 2 * m - 2
-                                  for v in X.facets[f])
+                                  for v in facets[f])
     entry = {v: next(f for f in X.vertex_facets[v] if f in depth)
              for v in sorted(vertices_m - prev_vertices)}
     return DistanceNeighborhood(m=m, facets=facets_m, vertices=vertices_m,

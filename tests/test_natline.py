@@ -176,6 +176,10 @@ class TestPrefixPartition:
         P = prefix(6, [1, 4], [2, 5], [3, 6])
         assert sc.restrict_prefix(P, 4).blocks == ((1, 4), (2,), (3,))
 
+    def test_restrict_prefix_built_directly_with_an_unsorted_block(self):
+        P = sc.PrefixPartition(3, ((1, 3, 2),))
+        assert sc.restrict_prefix(P, 2).blocks == ((1, 2),)
+
     def test_lengths_out_of_range(self):
         with pytest.raises(errors.InputError, match="^prefix length must be >= 1$"):
             sc.make_prefix_partition(0, [])

@@ -140,7 +140,7 @@ class TestParsePartition:
         ("facets", "1,2\n1,3 2,3 2,3\n", "UnknownTokenError", "line 2: unknown facet '1,3'"),
     ])
     def test_a_faulty_line_names_its_first_bad_token(self, kind, text, error, message):
-        # a line is resolved whole; the token at fault is found as the line reads
+        # the error names the first token at fault as the line reads
         X = sc.line_graph(3)
         parse = {"prefix": lambda: parse_prefix_partition(text, 5),
                  "vertices": lambda: parse_vertex_partition(text, X),
