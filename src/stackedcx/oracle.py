@@ -7,10 +7,12 @@ Bell/Stirling identities they must reproduce.
 A partition is held as a string: entry i is the block of the i-th element
 of the sorted ground set, blocks numbered 0, 1, ... in the order their
 first member is placed (Knuth, TAOCP 4A §7.2.1.5, restricted-growth
-strings).  One walk, :func:`_prefixes`, places every element but the
-last, and two consumers place the last one: :func:`_growth_strings`
-expands it into the strings of one part number, for enumeration and
-verification, and :func:`census` counts its admissible blocks for every
+strings).  One walk, :func:`_prefixes`, places every element of the order
+it is given but the last, and two consumers finish each placement:
+:func:`_growth_strings` expands the last element into the strings of one
+part number, for enumeration and verification, and :func:`census`, whose
+walk stops one element earlier, puts the second-to-last element in each
+admissible block and counts the admissible blocks of the last for every
 part number at once.  :func:`enumerate_partitions` places elements in id
 order; :func:`verify_bijection` and :func:`census` place them in
 :func:`partitions.certificate_order`, as the string maps do, so
@@ -56,16 +58,21 @@ def bell(n: int) -> int:
     return row[0]
 
 
-def stirling2(n: int, k: int) -> int:
-    """Number of set partitions of an n-set into exactly k blocks."""
-    _check_exact_range(n, k)
+def _stirling_row(n: int) -> list[int]:
+    """S(n, k) for k = 0..n, one row of the Stirling triangle."""
     row = [1]  # n = 0
     for _ in range(n):
         nxt = [0] * (len(row) + 1)
         for j in range(1, len(nxt)):
             nxt[j] = j * (row[j] if j < len(row) else 0) + row[j - 1]
         row = nxt
-    return row[k]
+    return row
+
+
+def stirling2(n: int, k: int) -> int:
+    """Number of set partitions of an n-set into exactly k blocks."""
+    _check_exact_range(n, k)
+    return _stirling_row(n)[k]
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,9 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
     ``order`` but the last into at most ``parts`` blocks, each
     ``scatter``-scattered, from which the last position can still reach
     ``fewest`` blocks, once each, in lexicographic order along ``order``.
+    ``order`` may cover only part of the ground: its length sets the last
+    step and the close masks, which count only steps of ``order``, and
+    positions outside it stay unplaced.
     Each step tries each open block in turn, then a new one, and joins a
     block only if no member already there is closer than ``scatter``: one
     AND of the block's member steps with the step's ``close`` mask, the
@@ -119,19 +129,19 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
     """
     if spec.parts < 1 or spec.scatter < 1:
         raise InputError("parts and scatter must be >= 1")
-    n = len(spec.ground)
+    n = len(order)
     if fewest > n:
         return
     r = spec.parts
     close = [0] * n  # per step: the earlier steps closer than scatter
     if spec.scatter > 1:
-        bit = [0] * n  # per position: 1 << its step, once placed
+        bit = [0] * len(spec.ground)  # per position: 1 << its step, once placed
         for i, e in enumerate(order):
             close[i] = sum(map(bit.__getitem__, spec.near[e]))
             bit[e] = 1 << i
     masks = [0] * r  # member steps per block
     k = 0  # open blocks
-    slot = [-1] * n  # the block of each position, -1 while unplaced
+    slot = [-1] * len(spec.ground)  # the block of each position, -1 while unplaced
     last = n - 1
     if not last:  # no prefix to walk
         yield slot, masks, k, 0, 0
@@ -385,21 +395,35 @@ def census(X: SimplicialComplex) -> CensusReport:
 
     This is still the brute-force oracle: one walk of :func:`_prefixes`
     over every block count at once, with no recurrence, memo or closed
-    form.  Each partition is one placement the walk yields plus one
-    admissible block for the last vertex, and is counted once: the open
-    blocks the last step's close mask misses add to the row of k blocks,
-    and a new block to the row of k + 1.  Nothing is capped at r, so a new
-    block is always admissible and the walk has no dead ends.
+    form.  The walk places every vertex of the certificate order but the
+    last two, a and then b.  Each partition is one placement the walk
+    yields, one admissible block for a and one for b, and is counted
+    once: a goes into each open block its close mask misses and into a
+    new one, leaving k' blocks; then the k' blocks that hold none of b's
+    close vertices, a included, add to the row of k', and a new block to
+    the row of k' + 1.  Nothing is capped at r, so a new block is always
+    admissible and the walk has no dead ends.
     """
     n = X.n_facets
     _check_exact_range(n)
     spec = vertex_spec(X, X.n_vertices, 2)
     counts = [0] * (X.n_vertices + 1)  # by vertex part number
-    for _, masks, k, closer, _ in _prefixes(spec, certificate_order(X, "vertices"), 1):
-        counts[k] += sum(1 for b in range(k) if not closer & masks[b])
-        counts[k + 1] += 1
+    order = certificate_order(X, "vertices")
+    a, b = order[-2:]
+    a_near_b = a in spec.near[b]
+    near_b = [v for v in spec.near[b] if v != a]  # placed by the walk
+    for slot, masks, k, closer, _ in _prefixes(spec, order[:-1], 1):
+        held = {slot[v] for v in near_b}
+        free = k - len(held)  # open blocks b may join unless a is in them
+        for beta in range(k):
+            if not closer & masks[beta]:
+                counts[k] += free - (a_near_b and beta not in held)
+                counts[k + 1] += 1
+        counts[k + 1] += free + 1 - a_near_b  # a opens block k
+        counts[k + 2] += 1
+    stirling = _stirling_row(n)
     rows = tuple(CensusRow(parts=r, vertex_parts=r + X.dim, count=counts[r + X.dim],
-                           expected=stirling2(n, r))
+                           expected=stirling[r])
                  for r in range(1, n + 1))
     return CensusReport(n_facets=n, dim=X.dim, rows=rows,
                         total=sum(row.count for row in rows), bell_value=bell(n))

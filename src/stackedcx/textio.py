@@ -25,7 +25,7 @@ from .errors import (
     UnknownTokenError,
     ZeroDimensionError,
 )
-from .natline import PrefixPartition, make_prefix_partition
+from .natline import PrefixPartition
 from .partitions import Partition, make_partition
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
@@ -158,7 +158,10 @@ def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
         return block
 
     blocks = _parse_blocks(text, resolve, n, "integers")
-    return make_prefix_partition(n, blocks)
+    if n < 1:
+        raise InputError("prefix length must be >= 1")
+    # _parse_blocks has checked range, overlap and cover: only canonicalize
+    return PrefixPartition(n=n, blocks=tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
 
 def _block_tokens(X: SimplicialComplex | None, P) -> list[list[str]]:

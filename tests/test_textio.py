@@ -149,6 +149,19 @@ class TestParsePartition:
             parse()
         assert str(info.value) == message
 
+    def test_prefix_parse_is_canonical(self):
+        # tokens and blocks out of order parse as make_prefix_partition builds them
+        for text, blocks in (("4 1\n3 2 5\n", [[4, 1], [3, 2, 5]]),
+                             ("9 6 3\n8 2 5\n7 1 4\n", [[9, 6, 3], [8, 2, 5], [7, 1, 4]]),
+                             ("5\n2 4\n3\n1\n", [[5], [2, 4], [3], [1]])):
+            n = max(map(max, blocks))
+            assert parse_prefix_partition(text, n) == sc.make_prefix_partition(n, blocks)
+
+    def test_prefix_length_below_one(self):
+        for n in (0, -3):
+            with pytest.raises(errors.InputError, match="prefix length must be >= 1"):
+                parse_prefix_partition("", n)
+
     def test_prefix_tokens_with_leading_zeros(self):
         assert parse_prefix_partition("00001 2 3\n4 05\n", 5).blocks == ((1, 2, 3), (4, 5))
 
