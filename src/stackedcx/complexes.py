@@ -38,9 +38,7 @@ def derived(build):
     """Memoise ``build(X, *args)`` per complex X, under ``build`` itself
     when there are no further arguments and under ``(build, args)``
     otherwise.  Everything a complex derives lazily is kept this way, in
-    its one memo; ``.built(X, *args)`` tells whether the value is built,
-    and ``.seed(X, value, *args)`` stores a value known in closed form, so
-    that ``build`` never runs for it."""
+    its one memo; ``.built(X, *args)`` tells whether the value is built."""
     @wraps(build)
     def get(X, *args):
         key = (build, args) if args else build
@@ -51,11 +49,7 @@ def derived(build):
         value = X._cache[key] = build(X, *args)
         return value
 
-    def seed(X, value, *args):
-        X._cache[(build, args) if args else build] = value
-
     get.built = lambda X, *args: ((build, args) if args else build) in X._cache
-    get.seed = seed
     return get
 
 
@@ -206,21 +200,13 @@ def canonical_complex(facet_list: Sequence[Sequence[str]]) -> SimplicialComplex:
     return complex_from_ids(labels, [tuple(sorted(map(ids, tokens))) for tokens in facet_list])
 
 
-def complex_from_ids(labels: tuple[str, ...], facets: Iterable[tuple[int, ...]], *,
-                     tree: "StackingTree | None" = None) -> SimplicialComplex:
+def complex_from_ids(labels: tuple[str, ...],
+                     facets: Iterable[tuple[int, ...]]) -> SimplicialComplex:
     """The complex :func:`build_complex` returns for the tokens of these
     facets, built from ids: ``labels`` are in canonical token order, each
     facet is a sorted tuple of ids, and nothing is validated.  Facets are
-    stored sorted, so any facet order gives the same complex.
-
-    ``tree``, when given, is the stacking tree of a stacked complex, over
-    the facets as stored, known in closed form: it and its certificate go
-    into the memo as they are, so nothing is swept for them."""
-    X = SimplicialComplex(labels, tuple(sorted(facets)))
-    if tree is not None:
-        _tree.seed(X, tree)
-        find_stacking_order.seed(X, tree.certificate())
-    return X
+    stored sorted, so any facet order gives the same complex."""
+    return SimplicialComplex(labels, tuple(sorted(facets)))
 
 
 def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
@@ -259,28 +245,9 @@ class StackingTree:
     graph that :mod:`paths` sweeps for closeness is built from these
     arrays, one ridge node per run of equal (``up``, ``port``) in
     ``order``.
-
-    The sweep is the definition.  A complex whose tree is known in closed
-    form arrives with it filled (:meth:`filled`, through
-    :func:`complex_from_ids`): the line graphs of :mod:`natline` do, and
-    never build ``codim1_faces`` or ``facets`` for it.
     """
 
     __slots__ = ("order", "up", "free", "port", "depth")
-
-    @classmethod
-    def filled(cls, order: list[int], up: list[int], free: list[int], port: list[int],
-               depth: list[int]) -> "StackingTree":
-        """The tree with these arrays, trusted to equal the sweep's."""
-        tree = cls.__new__(cls)
-        tree.order, tree.up, tree.free, tree.port, tree.depth = order, up, free, port, depth
-        return tree
-
-    def certificate(self) -> StackingOrder:
-        """The stacking order read off a spanning tree: the facets in
-        ``order``, each after the first with its free vertex."""
-        return StackingOrder(tuple(self.order),
-                             tuple(map(self.free.__getitem__, self.order[1:])))
 
     def __init__(self, X: SimplicialComplex):
         index = X.codim1_faces
@@ -319,7 +286,8 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
     if X.n_vertices == X.n_facets + X.dim:
         tree = _tree(X)
         if len(tree.order) == X.n_facets:
-            return tree.certificate()
+            return StackingOrder(tuple(tree.order),
+                                 tuple(map(tree.free.__getitem__, tree.order[1:])))
     return None
 
 

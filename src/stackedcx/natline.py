@@ -5,15 +5,18 @@ segments of the positive integers: edge i joins vertices i and i+1.  Under
 this identification a partition of [1..n] (read as edges of L_n) refines to
 a partition of [1..n+1] (read as vertices) with one more block and scatter
 one higher, and the refinement is compatible with growing the prefix.
-Prefix partitions are validated by :func:`partitions.make_partition`.
+The refinement is the facet-to-vertex map written on the path itself, so
+no complex is built for it; :func:`line_graph` builds L_n as a complex for
+the general map, which it is tested against.  Prefix partitions are
+validated by :func:`partitions.make_partition`.
 """
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import SimplicialComplex, StackingTree, complex_from_ids
-from .errors import InputError
-from .partitions import Partition, facet_to_vertex, make_partition
+from .complexes import SimplicialComplex, complex_from_ids
+from .errors import InputError, NotAPartitionError
+from .partitions import make_partition
 
 
 @dataclass(frozen=True)
@@ -47,36 +50,50 @@ def make_prefix_partition(n: int,
 def line_graph(n: int) -> SimplicialComplex:
     """The tree with edges {i, i+1} for i = 1..n, equal to the complex
     :func:`complexes.build_complex` makes of them, built from ids with no
-    token parsing.  Integer k is vertex k - 1 and edge i is facet i - 1.
-
-    Its stacking tree arrives filled: the sweep from facet 0 reaches the
-    facets in id order, each c > 0 across the ridge {c} of its parent
-    c - 1, whose other vertex c - 1 is its port, while c + 1 is its free
-    vertex and c its depth.
-    """
+    token parsing.  Integer k is vertex k - 1 and edge i is facet i - 1."""
     if n < 1:
         raise InputError("line graph needs at least one edge")
-    ids = list(range(n + 1))
-    up = [0, *ids[:n - 1]]
-    tree = StackingTree.filled(ids[:n], up, [0, *ids[2:]], up[:], ids[:n])
-    return complex_from_ids(tuple(map(str, range(1, n + 2))),
-                            zip(range(n), range(1, n + 1)), tree=tree)
+    return complex_from_ids(tuple(map(str, range(1, n + 2))), zip(range(n), range(1, n + 1)))
 
 
 def refine_once(P: PrefixPartition) -> PrefixPartition:
     """One refinement step: read [1..n] as edges of L_n, map to the vertex
     partition, and read vertices back as [1..n+1].
 
-    Edge i of L_n is facet i - 1 and integer k is vertex k - 1
-    (:func:`line_graph`), so the blocks need no token lookups; the step is
-    O(n): L_n, its stacking tree and the map's pass over that tree.  The
-    tree is filled in closed form, so no ridge index, facet set or sweep
-    is built.
+    On the path, vertices u < w are related when the face path from u to
+    w, the edges u..w-1, has its end edges in one block B and no inner
+    edge in B: when w - 1 is the edge after u in B (so w >= u + 2, and u
+    and w are independent).  Each vertex is thus related to at most one
+    later and one earlier vertex, and the classes are chains, one from
+    vertex 1 and one from e + 1 for the first edge e of each block.  The
+    step is O(n) and builds no complex; it equals
+    ``facet_to_vertex(line_graph(n), ...)`` with every element shifted by
+    one.  Blocks that do not partition [1..n] raise
+    :class:`NotAPartitionError`.
     """
-    X = line_graph(P.n)
-    Q = Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))
-    V = facet_to_vertex(X, Q)
-    return PrefixPartition(P.n + 1, tuple(tuple(v + 1 for v in block) for block in V.blocks))
+    n = P.n
+    if n < 1:
+        raise InputError("line graph needs at least one edge")
+    blocks = [sorted(block) for block in P.blocks if block]
+    # after[v]: the later vertex related to vertex v, one past the edge
+    # after v in v's block; -1 when v is its block's last edge, 0 for n + 1
+    after = [0] * (n + 2)
+    if sum(map(len, blocks)) == n and all(s[0] >= 1 and s[-1] <= n for s in blocks):
+        for s in blocks:
+            for e, f in zip(s, s[1:]):
+                after[e] = f + 1
+            after[s[-1]] = -1
+    # only n elements of [1..n] are written, and n writes that reach all n
+    # edges reach each of them once
+    if 0 in after[1:-1]:
+        raise NotAPartitionError(f"blocks do not partition the {n} facets")
+    chains = []
+    for v in sorted([1, *(s[0] + 1 for s in blocks)]):
+        chain = [v]
+        while (v := after[v]) > 0:
+            chain.append(v)
+        chains.append(tuple(chain))
+    return PrefixPartition(n + 1, tuple(chains))
 
 
 def refine_iter(P: PrefixPartition, steps: int) -> PrefixPartition:

@@ -143,15 +143,15 @@ def certificate_order(X: SimplicialComplex, kind: GroundKind) -> list[int]:
 @derived
 def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     """The pass of :func:`_labels` that labels the facets or the vertices
-    of X, built once per complex and kind: the steps as seven columns,
-    with a step (its index, slot of p's row, slot of c's row, edge_at,
-    edge_source, lookup_at, element) per facet c after the root, p its
-    parent, in certificate order; the root's elements labelled 0, 1, ...;
-    their count; the number of facets; and the root count of the input
-    kind, the other one: the root facet's elements of that kind (1 facet
-    or d + 1 vertices).  c's slot is -1 when c has no children, p's when c
-    is p's last child, else c.  Only the slots take a Python loop, over
-    the facets with children; the columns are read off the tree whole.
+    of X, built once per complex and kind: a step (its index, slot of p's
+    row, slot of c's row, edge_at, edge_source, lookup_at, element) per
+    facet c after the root, p its parent, in certificate order; the root's
+    elements labelled 0, 1, ...; their count; the number of facets; and
+    the root count of the input kind, the other one: the root facet's
+    elements of that kind (1 facet or d + 1 vertices).  c's slot is -1
+    when c has no children, p's when c is p's last child, else c.  Only
+    the slots take a Python loop, over the facets with children; the
+    steps are zipped from columns read off the tree whole.
     """
     tree = stacking_tree(X)
     up, n = tree.up, X.n_facets
@@ -173,15 +173,7 @@ def _pass(X: SimplicialComplex, kind: GroundKind) -> tuple:
     label = [-1] * (X.n_vertices if kind == "vertices" else n)
     for i, e in enumerate(roots):
         label[e] = i
-    return columns, label, len(roots), n, 1 if kind == "vertices" else X.dim + 1
-
-
-@derived
-def _listed(X: SimplicialComplex, kind: GroundKind) -> tuple:
-    """:func:`_pass` with its steps listed as tuples, which the kernel runs
-    faster than it zips the columns: worth building for a pass run again."""
-    columns, *rest = _pass(X, kind)
-    return (list(zip(*columns)), *rest)
+    return list(zip(*columns)), label, len(roots), n, 1 if kind == "vertices" else X.dim + 1
 
 
 def _labels(X: SimplicialComplex, kind: GroundKind, strings: Sequence[Sequence[int]],
@@ -190,9 +182,7 @@ def _labels(X: SimplicialComplex, kind: GroundKind, strings: Sequence[Sequence[i
     one pass over the stacking tree builds, as a string in certificate
     form: both maps, which differ only in their :func:`_pass`, the one
     labelling ``kind``.  A string gives each input element its block, in
-    any numbering.  A pass runs its steps as :func:`_listed` when it runs
-    more than once, in this call or since its columns were built, and
-    zips its columns otherwise.
+    any numbering.
 
     The root facet's elements get classes 0, 1, ...  Each later facet c,
     in certificate order and with parent p, takes p's row, a map from
@@ -256,12 +246,8 @@ def _labels(X: SimplicialComplex, kind: GroundKind, strings: Sequence[Sequence[i
     a next string.  Step i writes only output position i + n_roots, so each
     result comes with the bound ``start + n_roots`` (0 for the first).
     """
+    steps, label, n_roots, n, roots = _pass(X, kind)
     keep = len(strings) > 1
-    if keep or _pass.built(X, kind):
-        steps, label, n_roots, n, roots = _listed(X, kind)
-    else:
-        columns, label, n_roots, n, roots = _pass(X, kind)
-        steps = zip(*columns)
     label = label[:]
     base: dict[int, int] = {}  # the class of each block's root region
     rows: list = [{}] + [None] * (n - 1)
@@ -275,8 +261,7 @@ def _labels(X: SimplicialComplex, kind: GroundKind, strings: Sequence[Sequence[i
                 del held[key]
             else:
                 held[key] = old
-        for i, above, at, edge_at, source, lookup_at, element in (
-                steps[start:] if start else steps):
+        for i, above, at, edge_at, source, lookup_at, element in steps[start:]:
             row = rows[above]
             k, j = block_of[edge_at], block_of[lookup_at]
             if at < 0:  # c has no children: its row is read only here

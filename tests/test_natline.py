@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import complexes, errors, natline
+from stackedcx import complexes, errors, natline, oracle
 
 
 def prefix(n, *blocks):
@@ -165,8 +165,14 @@ class TestPrefixPartition:
             sc.make_prefix_partition(3, [[1, 2], [2, 3]])
         with pytest.raises(errors.NotAPartitionError):
             sc.make_prefix_partition(3, [[0, 1, 2, 3]])
-        with pytest.raises(errors.NotAPartitionError):  # built directly
-            sc.refine_once(sc.PrefixPartition(3, ((0, 1, 2),)))
+        for blocks in (((0, 1, 2),),      # built directly: outside [1..n],
+                       ((1, 2),),          # missing an element,
+                       ((1, 2), (2, 3)),   # repeating one across blocks,
+                       ((1, 3), (3,)),     # repeating one in place of a missing one,
+                       ((1, 1, 3),)):      # or within a block
+            with pytest.raises(errors.NotAPartitionError,
+                               match="^blocks do not partition the 3 facets$"):
+                sc.refine_once(sc.PrefixPartition(3, blocks))
 
     def test_scatter(self):
         assert prefix(6, [1, 4], [2, 5], [3, 6]).scatter() == 3
@@ -192,26 +198,46 @@ class TestPrefixPartition:
                 sc.restrict_prefix(P, n)
 
 
+def refined_on_the_line_graph(P):
+    """refine_once by its definition: the general facet-to-vertex map on
+    L_n, edge i as facet i - 1 and vertex k - 1 as integer k."""
+    Q = sc.Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))
+    V = sc.facet_to_vertex(sc.line_graph(P.n), Q)
+    return sc.PrefixPartition(P.n + 1, tuple(tuple(v + 1 for v in block) for block in V.blocks))
+
+
+def test_refine_once_equals_the_map_on_every_small_prefix():
+    count = 0
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            for P in oracle.enumerate_partitions(oracle.prefix_spec(n, r, 1)):
+                P = sc.PrefixPartition(n, P.blocks)
+                assert sc.refine_once(P) == refined_on_the_line_graph(P)
+                count += 1
+    assert count == sum(map(oracle.bell, range(1, 9))) == 5295
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_refine_once_equals_the_map_on_long_prefixes(seed):
+    rng = random.Random(seed)
+    P = random_prefix(rng.randint(10 ** 2, 3 * 10 ** 3), rng, parts=rng.randint(1, 6))
+    refined = sc.refine_once(P)
+    assert refined == refined_on_the_line_graph(P)
+    assert sc.check_colimit_compatibility(P, refined=refined)
+
+
 def test_refining_a_long_prefix_builds_no_sweep(monkeypatch):
-    """refine_once and the colimit check on a 10^5-integer prefix: each
-    line graph arrives with its tree and certificate in the memo, and
-    builds neither the ridge index, which a sweep reads first, nor the
-    facet sets."""
-    graphs = []
-    real = natline.line_graph
+    """refine_once and the colimit check on a 10^5-integer prefix build no
+    line graph or other complex, so nothing is swept."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built")
 
-    def recording(n):
-        graphs.append(real(n))
-        return graphs[-1]
-
-    monkeypatch.setattr(natline, "line_graph", recording)
+    monkeypatch.setattr(natline, "line_graph", refuse)
+    monkeypatch.setattr(complexes, "complex_from_ids", refuse)
+    monkeypatch.setattr(complexes.SimplicialComplex, "__init__", refuse)
     n = 10 ** 5
     P = prefix(n, *(range(r, n + 1, 3) for r in (1, 2, 3)))
     refined = sc.refine_once(P)
     assert refined.n == n + 1 and refined.n_blocks == 4
+    assert refined.scatter() == P.scatter() + 1
     assert sc.check_colimit_compatibility(P, refined=refined)
-    assert [X.n_facets for X in graphs] == [n, n - 1]
-    for X in graphs:
-        assert complexes._tree.built(X) and complexes.find_stacking_order.built(X)
-        assert not sc.SimplicialComplex.codim1_faces.fget.built(X)
-        assert not sc.SimplicialComplex.facets.fget.built(X)
