@@ -21,7 +21,6 @@ from .errors import (
 )
 
 _NUMERIC = re.compile(r"[0-9]+\Z")
-ZERO_DIMENSION = "facets must have at least two vertices"
 
 
 def token_sort_key(token: str) -> tuple:
@@ -72,7 +71,8 @@ class SimplicialComplex:
     __slots__ = ("labels", "facet_tuples", "dim", "_cache")
 
     def __init__(self, labels: tuple[str, ...], facet_tuples: tuple[tuple[int, ...], ...]):
-        # Internal constructor; use build_complex() or complex_from_ids().
+        # Trusts its input; use build_complex(), textio.parse_complex() or
+        # complex_from_ids().
         self.labels = labels
         self.facet_tuples = facet_tuples
         self.dim = len(facet_tuples[0]) - 1
@@ -161,43 +161,44 @@ def build_complex(facet_list: Iterable[Iterable[str]]) -> SimplicialComplex:
 
     Vertex tokens get dense ids in canonical token order; facets are stored
     sorted, so equal inputs in any order produce identical complexes.
+    Errors name the 1-based position of the first facet at fault.
     """
-    raw: list[tuple[str, ...]] = []
-    for facet in facet_list:
-        tokens = tuple(facet)
+    rows = [tuple(facet) for facet in facet_list]
+    for tokens in rows:
         for tok in tokens:
             if not isinstance(tok, str) or not tok or tok.split() != [tok]:
                 raise InputError(f"invalid vertex token {tok!r}")
-        if len(set(tokens)) != len(tokens):
-            raise DuplicateVertexError(f"repeated vertex in facet {tokens}")
-        raw.append(tokens)
-    if not raw:
-        raise EmptyInputError("no facets given")
-
-    size = len(raw[0])
-    for tokens in raw:
-        if len(tokens) != size:
-            raise NotPureError(
-                f"facet {tokens} has {len(tokens)} vertices, expected {size}")
-    if size < 2:
-        raise ZeroDimensionError(ZERO_DIMENSION)
-
-    seen: set[frozenset[str]] = set()
-    for tokens in raw:
-        key = frozenset(tokens)
-        if key in seen:
-            raise DuplicateFacetError(f"facet {sorted(tokens)} appears twice")
-        seen.add(key)
-    return canonical_complex(raw)
+    return _validated(rows, range(1, len(rows) + 1), "facet")
 
 
-def canonical_complex(facet_list: Sequence[Sequence[str]]) -> SimplicialComplex:
-    """The complex of validated token lists: vertex tokens get dense ids in
-    canonical token order.  Nothing is checked here."""
-    labels = tuple(sorted({tok for tokens in facet_list for tok in tokens},
-                          key=token_sort_key))
+def _validated(rows: Sequence[Sequence[str]], positions: Sequence[int],
+               word: str) -> SimplicialComplex:
+    """The canonical complex of valid token rows, the one validator of
+    complexes.  Row k is at ``positions[k]``, named ``word``; the first
+    row at fault, as the rows read, is named: it repeats a vertex, has a
+    size other than the first row's, or repeats an earlier row."""
+    if not rows:
+        raise EmptyInputError("no facets in input")
+    labels = tuple(sorted({tok for tokens in rows for tok in tokens}, key=token_sort_key))
     ids = {tok: i for i, tok in enumerate(labels)}.__getitem__
-    return complex_from_ids(labels, [tuple(sorted(map(ids, tokens))) for tokens in facet_list])
+    facets = [tuple(sorted(map(ids, tokens))) for tokens in rows]
+    size = len(facets[0])
+    # a stable sort: each repeated facet directly follows an earlier copy
+    order = sorted(range(len(facets)), key=facets.__getitem__)
+    twin, first = min(((k, j) for j, k in zip(order, order[1:]) if facets[j] == facets[k]),
+                      default=(len(facets), 0))
+    for k, facet in enumerate(facets[:twin]):
+        if len(set(facet)) < len(facet):
+            raise DuplicateVertexError(f"{word} {positions[k]}: repeated vertex in facet")
+        if len(facet) != size:
+            raise NotPureError(f"{word} {positions[k]}: facet has {len(facet)} vertices, "
+                               f"{word} {positions[0]} has {size}")
+    if twin < len(facets):
+        raise DuplicateFacetError(
+            f"{word} {positions[twin]}: facet already given on {word} {positions[first]}")
+    if size < 2:
+        raise ZeroDimensionError("facets must have at least two vertices")
+    return SimplicialComplex(labels, tuple(map(facets.__getitem__, order)))
 
 
 def complex_from_ids(labels: tuple[str, ...],

@@ -7,8 +7,10 @@ a partition of [1..n+1] (read as vertices) with one more block and scatter
 one higher, and the refinement is compatible with growing the prefix.
 The refinement is the facet-to-vertex map written on the path itself, so
 no complex is built for it; :func:`line_graph` builds L_n as a complex for
-the general map, which it is tested against.  Prefix partitions are
-validated by :func:`partitions.make_partition`.
+the general map, which it is tested against.  Prefix partitions given
+as blocks are validated by :func:`make_prefix_partition`; refinement and
+restriction build their results directly, as both take partitions of a
+prefix to partitions of a prefix.
 """
 
 from dataclasses import dataclass
@@ -107,11 +109,12 @@ def refine_iter(P: PrefixPartition, steps: int) -> PrefixPartition:
 
 
 def restrict_prefix(P: PrefixPartition, n: int) -> PrefixPartition:
-    """Intersect every block with [1..n], dropping emptied blocks."""
+    """Intersect every block with [1..n], dropping emptied blocks; the
+    rest partition [1..n] when P partitions [1..P.n]."""
     if not 1 <= n <= P.n:
         raise InputError(f"cannot restrict prefix of length {P.n} to {n}")
-    blocks = [tuple(e for e in block if e <= n) for block in P.blocks]
-    return make_prefix_partition(n, [b for b in blocks if b])
+    blocks = [tuple(sorted(e for e in block if e <= n)) for block in P.blocks]
+    return PrefixPartition(n, tuple(sorted(b for b in blocks if b)))
 
 
 def check_colimit_compatibility(P: PrefixPartition, *,

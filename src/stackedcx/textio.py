@@ -2,39 +2,33 @@
 
 Complex files: one facet per line, vertex tokens separated by spaces.
 Partition files: one block per line; for facet partitions each token is a
-facet written as its vertex tokens joined by commas.  Lines starting with
-'#' are comments, blank lines are ignored, encoding is UTF-8, and one
-leading byte-order mark is dropped.
+facet written as its vertex tokens joined by commas.  Lines end at
+universal newlines only; lines starting with '#' are comments, blank
+lines are ignored, encoding is UTF-8, and one leading byte-order mark is
+dropped.
 """
 
-from .complexes import (
-    _NUMERIC,
-    ZERO_DIMENSION,
-    SimplicialComplex,
-    canonical_complex,
-    dual_adjacency,
-)
+from .complexes import _NUMERIC, SimplicialComplex, _validated, dual_adjacency
 from .errors import (
-    DuplicateFacetError,
     DuplicateVertexError,
-    EmptyInputError,
     InputError,
     MissingElementError,
-    NotPureError,
     OverlapError,
     UnknownTokenError,
-    ZeroDimensionError,
 )
 from .natline import PrefixPartition
-from .partitions import Partition, make_partition
+from .partitions import Partition
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
             "#f781bf", "#17becf", "#999999", "#66c2a5", "#fc8d62", "#8da0cb")
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    # lines end only at universal newlines, as open() reads them; other
+    # separators that str.splitlines() breaks at are spaces within a line
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     out = []
-    for ln, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+    for ln, raw in enumerate(text.split("\n"), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -43,29 +37,11 @@ def _content_lines(text: str) -> list[tuple[int, list[str]]]:
 
 
 def parse_complex(text: str) -> SimplicialComplex:
-    """Parse the complex text format; errors carry the offending line.
-    Split tokens are valid vertex tokens, so these checks are all that
-    :func:`complexes.build_complex` would make."""
+    """Parse the complex text format; errors name the first line at fault.
+    Split tokens are valid vertex tokens, so the lines go straight to the
+    validator :func:`complexes.build_complex` uses."""
     entries = _content_lines(text)
-    if not entries:
-        raise EmptyInputError("no facets in input")
-    first_ln, first = entries[0]
-    seen: dict[frozenset[str], int] = {}
-    for ln, tokens in entries:
-        if len(set(tokens)) != len(tokens):
-            raise DuplicateVertexError(f"line {ln}: repeated vertex in facet")
-        if len(tokens) != len(first):
-            raise NotPureError(
-                f"line {ln}: facet has {len(tokens)} vertices, line "
-                f"{first_ln} has {len(first)}")
-        key = frozenset(tokens)
-        if key in seen:
-            raise DuplicateFacetError(
-                f"line {ln}: facet already given on line {seen[key]}")
-        seen[key] = ln
-    if len(first) < 2:
-        raise ZeroDimensionError(ZERO_DIMENSION)
-    return canonical_complex([tokens for _, tokens in entries])
+    return _validated([tokens for _, tokens in entries], [ln for ln, _ in entries], "line")
 
 
 def emit_complex(X: SimplicialComplex) -> str:
@@ -79,12 +55,14 @@ def facet_token(X: SimplicialComplex, i: int) -> str:
 
 
 def _parse_blocks(text: str, resolve, universe_size: int,
-                  describe: str) -> list[list[int]]:
-    """The blocks of a partition file, one per line, as ids:
+                  describe: str) -> tuple[tuple[int, ...], ...]:
+    """The canonical blocks of a partition file, one per line, as ids:
     ``resolve(tokens, ln)`` gives the ids of one line's tokens and raises
     :class:`UnknownTokenError` on the first it cannot resolve.  A line
     that fails, or repeats an element, is read again token by token, so
-    the error names the first token at fault as the line reads."""
+    the error names the first token at fault as the line reads.  Range,
+    overlap and cover are checked here, so the blocks need no other
+    check."""
     blocks: list[list[int]] = []
     owner: dict[int, int] = {}
     for ln, tokens in _content_lines(text):
@@ -105,7 +83,7 @@ def _parse_blocks(text: str, resolve, universe_size: int,
     if len(owner) < universe_size:
         raise MissingElementError(
             f"{universe_size - len(owner)} {describe} not covered")
-    return blocks
+    return tuple(sorted(tuple(sorted(block)) for block in blocks))
 
 
 def _each(resolve):
@@ -120,8 +98,7 @@ def parse_vertex_partition(text: str, X: SimplicialComplex) -> Partition:
         except InputError:
             raise UnknownTokenError(f"unknown vertex {tok!r}", line=ln) from None
 
-    blocks = _parse_blocks(text, _each(resolve), X.n_vertices, "vertices")
-    return make_partition("vertices", blocks, range(X.n_vertices))
+    return Partition("vertices", _parse_blocks(text, _each(resolve), X.n_vertices, "vertices"))
 
 
 def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
@@ -133,8 +110,7 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
         except InputError:
             raise UnknownTokenError(f"unknown facet {tok!r}", line=ln) from None
 
-    blocks = _parse_blocks(text, _each(resolve), X.n_facets, "facets")
-    return make_partition("facets", blocks, range(X.n_facets))
+    return Partition("facets", _parse_blocks(text, _each(resolve), X.n_facets, "facets"))
 
 
 def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
@@ -160,8 +136,7 @@ def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
     blocks = _parse_blocks(text, resolve, n, "integers")
     if n < 1:
         raise InputError("prefix length must be >= 1")
-    # _parse_blocks has checked range, overlap and cover: only canonicalize
-    return PrefixPartition(n=n, blocks=tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    return PrefixPartition(n=n, blocks=blocks)
 
 
 def _block_tokens(X: SimplicialComplex | None, P) -> list[list[str]]:

@@ -46,6 +46,23 @@ class TestBuild:
         with pytest.raises(errors.InputError):
             sc.build_complex([["a b", "c"]])
 
+    @pytest.mark.parametrize("facets, error, message", [
+        ([], "EmptyInputError", "no facets in input"),
+        (["1 2", "2 3", "3 3"], "DuplicateVertexError", "facet 3: repeated vertex in facet"),
+        (["1 2", "2 3 4"], "NotPureError", "facet 2: facet has 3 vertices, facet 1 has 2"),
+        (["1 2", "2 3", "2 1"], "DuplicateFacetError", "facet 3: facet already given on facet 1"),
+        (["1", "2"], "ZeroDimensionError", "facets must have at least two vertices"),
+        # the first facet at fault is named, whatever the faults after it
+        (["1 2", "2 1", "1 1"], "DuplicateFacetError", "facet 2: facet already given on facet 1"),
+        (["1", "1"], "DuplicateFacetError", "facet 2: facet already given on facet 1"),
+        (["1 2", "a\tb c"], "InputError", "invalid vertex token 'a\\tb'"),
+    ])
+    def test_messages_name_the_first_facet_at_fault(self, facets, error, message):
+        with pytest.raises(getattr(errors, error)) as info:
+            sc.build_complex([f.split(" ") for f in facets])
+        assert type(info.value) is getattr(errors, error)
+        assert str(info.value) == message
+
     def test_numeric_tokens_sort_numerically(self):
         X = cx("10 2", "2 b")
         assert X.labels == ("2", "10", "b")

@@ -241,3 +241,16 @@ def test_refining_a_long_prefix_builds_no_sweep(monkeypatch):
     assert refined.n == n + 1 and refined.n_blocks == 4
     assert refined.scatter() == P.scatter() + 1
     assert sc.check_colimit_compatibility(P, refined=refined)
+
+
+def test_the_colimit_check_on_a_long_prefix_validates_nothing(monkeypatch):
+    """Restricting a partition keeps it a partition, so the colimit check
+    on a 10^5-integer prefix builds its restrictions without make_partition."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a partition was validated")
+
+    n = 10 ** 5
+    P = prefix(n, *(range(r, n + 1, 3) for r in (1, 2, 3)))
+    monkeypatch.setattr(natline, "make_partition", refuse)
+    assert sc.check_colimit_compatibility(P)
+    assert sc.restrict_prefix(P, 5).blocks == ((1, 4), (2, 5), (3,))

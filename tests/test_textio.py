@@ -59,6 +59,43 @@ class TestParseComplex:
             assert parse_complex(emit_complex(X)) == X
 
 
+# str.splitlines() breaks lines at these too; in a file they are spaces
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    def test_complex_lines_end_only_at_newlines(self, sep):
+        assert parse_complex(f"1{sep}2\n2 3{sep}\n") == parse_complex("1 2\n2 3\n")
+        for text, message in ((f"1 2{sep}\n1 2 3\n", "line 2: facet has 3 vertices, line 1 has 2"),
+                              (f"1 2\n2{sep}3\n2 1\n", "line 3: facet already given on line 1")):
+            with pytest.raises(errors.InputError) as info:
+                parse_complex(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+    @pytest.mark.parametrize("kind, bad, message, good", [
+        ("prefix", "1\n2{sep}9\n3\n", "line 2: token '9' outside [1..3]", "1\n2{sep}3\n"),
+        ("vertices", "1 3\n2{sep}9\n4\n", "line 2: unknown vertex '9'", "1 3\n2{sep}4\n"),
+        ("facets", "1,2\n2,3{sep}9,9\n3,4\n", "line 2: unknown facet '9,9'",
+         "1,2\n2,3{sep}3,4\n"),
+    ])
+    def test_partition_lines_end_only_at_newlines(self, sep, kind, bad, message, good):
+        X = sc.line_graph(3)
+        parse = {"prefix": lambda text: parse_prefix_partition(text, 3),
+                 "vertices": lambda text: parse_vertex_partition(text, X),
+                 "facets": lambda text: parse_facet_partition(text, X)}[kind]
+        with pytest.raises(errors.ParseError) as info:
+            parse(bad.format(sep=sep))
+        assert str(info.value) == message
+        assert parse(good.format(sep=sep)) == parse(good.format(sep=" "))
+
+    def test_universal_newlines(self):
+        assert parse_complex("1 2\r2 3\r\n3 4\r") == parse_complex("1 2\n2 3\n3 4\n")
+        with pytest.raises(errors.DuplicateFacetError, match="^line 3: facet already given on line 1$"):
+            parse_complex("1 2\r\n2 3\r2 1\n")
+
+
 class TestParsePartition:
     def test_vertex_blocks(self):
         X = sc.line_graph(5)
