@@ -110,7 +110,7 @@ class SimplicialComplex:
         return self.labels[vid]
 
     def facet_tokens(self, i: int) -> tuple[str, ...]:
-        return tuple(self.labels[v] for v in self.facet_tuples[i])
+        return tuple(map(self.labels.__getitem__, self.facet_tuples[i]))
 
     def facet_from_tokens(self, tokens: Iterable[str]) -> int:
         tokens = list(tokens)

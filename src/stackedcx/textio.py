@@ -46,8 +46,8 @@ def parse_complex(text: str) -> SimplicialComplex:
 
 def emit_complex(X: SimplicialComplex) -> str:
     """Canonical text for a complex; parse(emit(X)) == X."""
-    return "".join(" ".join(X.facet_tokens(i)) + "\n"
-                   for i in range(X.n_facets))
+    token = X.labels.__getitem__
+    return "\n".join([" ".join(map(token, facet)) for facet in X.facet_tuples]) + "\n"
 
 
 def facet_token(X: SimplicialComplex, i: int) -> str:
