@@ -78,19 +78,13 @@ class SimplicialComplex:
         self.dim = len(facet_tuples[0]) - 1
         self._cache: dict = {}  # the memo of derived()
 
-    @property
-    @derived
-    def facets(self) -> tuple[frozenset[int], ...]:
-        """The facets as vertex-id sets, in the order of ``facet_tuples``."""
-        return tuple(map(frozenset, self.facet_tuples))
-
     @derived
     def _ids(self) -> dict[str, int]:
         return {tok: i for i, tok in enumerate(self.labels)}
 
     @derived
-    def _facet_ids(self) -> dict[frozenset[int], int]:
-        return {f: i for i, f in enumerate(self.facets)}
+    def _facet_ids(self) -> dict[tuple[int, ...], int]:
+        return {f: i for i, f in enumerate(self.facet_tuples)}
 
     @property
     def n_facets(self) -> int:
@@ -114,8 +108,8 @@ class SimplicialComplex:
 
     def facet_from_tokens(self, tokens: Iterable[str]) -> int:
         tokens = list(tokens)
-        vertices = frozenset(map(self.id_of, tokens))
-        if len(vertices) != len(tokens):
+        vertices = tuple(sorted(map(self.id_of, tokens)))
+        if len(set(vertices)) != len(tokens):
             raise DuplicateVertexError(f"repeated vertex in facet {','.join(tokens)!r}")
         index = self._facet_ids()
         if vertices not in index:
@@ -124,12 +118,13 @@ class SimplicialComplex:
 
     @property
     @derived
-    def codim1_faces(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Every codimension-one face mapped to the facets containing it."""
-        index: dict[frozenset[int], list[int]] = {}
+    def codim1_faces(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Every codimension-one face, a sorted id tuple, mapped to the
+        facets containing it."""
+        index: dict[tuple[int, ...], list[int]] = {}
         for i, facet in enumerate(self.facet_tuples):
             for face in combinations(facet, self.dim):
-                index.setdefault(frozenset(face), []).append(i)
+                index.setdefault(face, []).append(i)
         return {face: tuple(fs) for face, fs in index.items()}
 
     @property
@@ -213,7 +208,7 @@ def complex_from_ids(labels: tuple[str, ...],
 def restrict(X: SimplicialComplex, region: Iterable[int]) -> tuple[int, ...]:
     """Facets of X entirely inside the given vertex-id set, in canonical order."""
     keep = frozenset(region)
-    return tuple(i for i, f in enumerate(X.facets) if f <= keep)
+    return tuple(i for i, f in enumerate(X.facet_tuples) if keep.issuperset(f))
 
 
 def dual_adjacency(X: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
@@ -237,7 +232,10 @@ class StackingTree:
     ``order`` lists the facets as the breadth-first sweep from facet 0
     reaches them: each facet visits its ridges in ``combinations`` order,
     and each ridge its facets in ascending order, so the children of each
-    facet form one contiguous run of it.  A reached facet c > 0 has
+    facet form one contiguous run of it.  The sweep reads the sorted id
+    tuples alone: the ridge of facet u without x is a ``combinations``
+    tuple, looked up in ``codim1_faces``, and a facet w across it adds
+    the one vertex of its tuple off the ridge.  A reached facet c > 0 has
     ``up[c]``, the facet p across its parent ridge, ``free[c]`` = c - p,
     ``port[c]`` = p - c and ``depth[c]``, its facet distance from facet 0;
     the root's entries are 0.  The sweep stops where it would reach a
@@ -257,12 +255,12 @@ class StackingTree:
             [0], *([0] * n for _ in range(4)))
         seen = [False] * n
         seen[0] = True
-        facets, tuples = X.facets, X.facet_tuples
-        for u in order:
-            for x in reversed(tuples[u]):  # ridges in combinations order
+        facets = X.facet_tuples
+        for u in order:  # combinations leaves out the last vertex first
+            for x, ridge in zip(reversed(facets[u]), combinations(facets[u], X.dim)):
                 if u and x == free[u]:  # the ridge u was reached across
                     continue
-                for w in index[facets[u] - {x}]:
+                for w in index[ridge]:
                     if w == u:
                         continue
                     if seen[w]:  # a second way to w
@@ -270,7 +268,7 @@ class StackingTree:
                     seen[w] = True
                     order.append(w)
                     up[w], port[w], depth[w] = u, x, depth[u] + 1
-                    (free[w],) = facets[w] - facets[u]
+                    free[w] = sum(facets[w]) - sum(ridge)  # its one vertex off the ridge
 
 
 @derived
@@ -279,7 +277,8 @@ def find_stacking_order(X: SimplicialComplex) -> StackingOrder | None:
 
     A pure complex is stacked iff |V| = n + d and its facets are connected
     through codimension-one faces.  The certificate is the stacking tree's
-    sweep from facet 0: each facet after the first is reached through a
+    sweep from facet 0 over ``facet_tuples`` and the tuple-keyed
+    ``codim1_faces``: each facet after the first is reached through a
     ridge of an earlier one, so it adds at most one vertex; |V| = n + d
     forces exactly one, its free vertex.  The tree is kept beside the
     certificate, so it is built once per complex, on first use.
@@ -311,9 +310,8 @@ def replay_stacking_order(X: SimplicialComplex, cert: StackingOrder) -> bool:
         return False
     seen: set[int] = set()
     walls: set[frozenset[int]] = set()  # codim-1 faces of earlier facets
-    facets = X.facets
     for p, f in enumerate(cert.order):
-        facet = facets[f]
+        facet = frozenset(X.facet_tuples[f])
         if p:
             v = cert.free_vertices[p - 1]
             if v not in facet or v in seen or facet - {v} not in walls:

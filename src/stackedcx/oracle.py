@@ -308,7 +308,6 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     right = list(_growth_strings(vertex_family, certificate_order(X, "vertices"),
                                  right_firsts))
     right_set = set(right)
-    trusted = right_set if vertex_family.scatter >= 2 else frozenset()
 
     round_trips = 0
     mismatches = 0
@@ -320,7 +319,7 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         notes.append((kind == "vertices", a, reason, kind))
 
     images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
-    backs, _ = vertex_to_facet_strings(X, images, image_firsts, trusted=trusted)
+    backs, _ = vertex_to_facet_strings(X, images, image_firsts, trusted=right_set)
     if backs != left or not right_set.issuperset(images):
         for a, image, back in zip(left, images, backs):
             if image not in right_set:
@@ -332,7 +331,7 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     if mismatches or round_trips or len(right_set) != len(left):
         left_set = set(left)
         forward = dict(zip(left, images))
-        preimages, _ = vertex_to_facet_strings(X, right, right_firsts, trusted=trusted)
+        preimages, _ = vertex_to_facet_strings(X, right, right_firsts, trusted=right_set)
         for b, preimage in zip(right, preimages):
             if preimage not in left_set:
                 mismatches += 1

@@ -11,6 +11,11 @@ InputError on complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
+Facets are read as ``facet_tuples``, sorted vertex-id tuples; faces and
+intersections handed back are frozensets.  The facets containing a face,
+a wall or any other, come from one lookup, :func:`_facets_containing`,
+over the facets of the face's vertex on fewest facets.
+
 The elements closer than a scatter bound to an element, its *close*
 list, are one bounded sweep of the tree as a graph built from the same
 arrays; only the capped enumerator keeps every list (:func:`near`).  The
@@ -66,24 +71,15 @@ def _check_ids(noun: str, size: int, ids: Collection[int]) -> None:
 def _check_walk(X: SimplicialComplex, walk: Sequence[int]) -> list[frozenset[int]]:
     if not walk:
         raise InputError("empty walk")
-    inters, facets = [], X.facets
+    inters, facets = [], X.facet_tuples
     for a, b in zip(walk, walk[1:]):
-        g = facets[a] & facets[b]
+        g = frozenset(facets[a]).intersection(facets[b])
         if len(g) != X.dim:
             raise InputError(
                 f"facets {X.facet_tokens(a)} and {X.facet_tokens(b)} do not "
                 f"share a codimension-one face")
         inters.append(g)
     return inters
-
-
-def _make_path(X: SimplicialComplex, facets: tuple[int, ...]) -> FacetPath:
-    inters = _check_walk(X, facets)
-    if len(set(inters)) != len(inters):
-        raise InputError("repeated intersection: walk is not a path")
-    if len(set(facets)) != len(facets):
-        raise InputError("repeated facet in path (is the complex stacked?)")
-    return FacetPath(facets=facets, intersections=tuple(inters))
 
 
 def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
@@ -93,10 +89,9 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
     right: the first intersection seen twice triggers a cut.  On a stacked
     complex the result does not depend on this order.
     """
-    facets, sets = list(walk), X.facets
-    _check_walk(X, facets)
-    while True:
-        inters = [sets[a] & sets[b] for a, b in zip(facets, facets[1:])]
+    facets = list(walk)
+    while True:  # a cut walk is still a walk: only the first pass can raise
+        inters = _check_walk(X, facets)
         first_at: dict[frozenset[int], int] = {}
         hit = None
         for j, g in enumerate(inters):
@@ -111,7 +106,9 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
             facets = facets[:i + 1] + facets[j + 1:]
         else:
             facets = facets[:i] + facets[j + 1:]
-    return _make_path(X, tuple(facets))
+    if len(set(facets)) != len(facets):
+        raise InputError("repeated facet in path (is the complex stacked?)")
+    return FacetPath(facets=tuple(facets), intersections=tuple(inters))
 
 
 def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
@@ -130,29 +127,35 @@ def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
             fall.append(up[fall[-1]])
     if len(rise) > 1 and len(fall) > 1 and port[rise[-2]] == port[fall[-2]]:
         rise.pop()  # children across one ridge meet in it, not at their parent
-    facets, sets = tuple(rise + fall[-2::-1]), X.facets
+    facets, t = tuple(rise + fall[-2::-1]), X.facet_tuples
     return FacetPath(facets=facets, intersections=tuple(
-        sets[a] & sets[b] for a, b in zip(facets, facets[1:])))
+        frozenset(t[a]).intersection(t[b]) for a, b in zip(facets, facets[1:])))
 
 
 def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
     """The single vertices f_1 \\ f_2 and f_p \\ f_{p-1} of a path, p >= 2."""
     if len(path) < 2:
         raise PathTooShortError("end vertices need a path of length >= 2")
-    first, second = X.facets[path.facets[0]], X.facets[path.facets[1]]
-    last, before = X.facets[path.facets[-1]], X.facets[path.facets[-2]]
-    (left,) = first - second
-    (right,) = last - before
+    t, facets = X.facet_tuples, path.facets
+    (left,) = frozenset(t[facets[0]]).difference(t[facets[1]])
+    (right,) = frozenset(t[facets[-1]]).difference(t[facets[-2]])
     return left, right
 
 
 def _facets_containing(X: SimplicialComplex, face: frozenset) -> list[int]:
-    """The facets containing a non-empty vertex set, in ascending order."""
-    v = next(iter(face))
-    if not isinstance(v, int) or not 0 <= v < X.n_vertices:
+    """The facets containing a non-empty vertex set, in ascending order,
+    from the facets of its vertex on fewest facets: a wall through a hub
+    vertex costs the degree of its other end."""
+    if not all(isinstance(v, int) and 0 <= v < X.n_vertices for v in face):
         return []
-    facets = X.facets
-    return [f for f in X.vertex_facets[v] if face <= facets[f]]
+    t, on = X.facet_tuples, X.vertex_facets
+    return [f for f in min((on[v] for v in face), key=len) if face.issubset(t[f])]
+
+
+def _listed(face: frozenset) -> list:
+    """A face's ids in order, for a message; ids of other types than int
+    are grouped by type, so a mixed face is listed too."""
+    return sorted(face, key=lambda v: (type(v).__name__, v))
 
 
 def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FacePath:
@@ -173,14 +176,14 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         raise NotAFaceError("faces must be non-empty vertex sets")
     containing_h = _facets_containing(X, h)
     if not containing_h:
-        raise NotAFaceError(f"{sorted(h)} is not a face")
+        raise NotAFaceError(f"{_listed(h)} is not a face")
     containing_k = _facets_containing(X, k)
     if not containing_k:
-        raise NotAFaceError(f"{sorted(k)} is not a face")
+        raise NotAFaceError(f"{_listed(k)} is not a face")
     if h == k:
         raise NotSeparatedError("equal faces have no path between them")
-    facets = X.facets
-    both = [i for i in containing_h if k <= facets[i]]
+    t = X.facet_tuples
+    both = [i for i in containing_h if k.issubset(t[i])]
     if len(both) >= 2:
         raise NotSeparatedError(
             "face union lies in two facets: no unique path")
@@ -188,9 +191,9 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         return FacePath(h=h, k=k, path=FacetPath(facets=(both[0],), intersections=()))
 
     full = facet_path(X, containing_h[0], containing_k[0])
-    i = max(idx for idx, fi in enumerate(full.facets) if h <= facets[fi])
+    i = max(idx for idx, fi in enumerate(full.facets) if h.issubset(t[fi]))
     j = min(idx for idx in range(i, len(full.facets))
-            if k <= facets[full.facets[idx]])
+            if k.issubset(t[full.facets[idx]]))
     trimmed = FacetPath(facets=full.facets[i:j + 1],
                         intersections=full.intersections[i:j])
     return FacePath(h=h, k=k, path=trimmed)
@@ -310,14 +313,15 @@ def wall_distance(X: SimplicialComplex, f: int, g: frozenset[int]) -> int:
     Equals 1 exactly when f contains g.
     """
     _check_ids("facet", X.n_facets, (f,))
-    return len(face_path(X, X.facets[f], g))
+    return len(face_path(X, X.facet_tuples[f], g))
 
 
 def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
                           m: int) -> DistanceNeighborhood:
     """The neighborhood of facets whose distance to g is at most m.
 
-    At m = 0 the facet set is empty and the vertex set is g itself.  One
+    g is a wall, a face of d vertices, when some facet contains it.  At
+    m = 0 the facet set is empty and the vertex set is g itself.  One
     stacking-tree sweep from g's facets: a facet at wall distance k lies
     2k - 2 deep, so level m holds the facets less than 2m deep, and level
     m - 1 those less than 2m - 2 deep.
@@ -329,10 +333,10 @@ def distance_neighborhood(X: SimplicialComplex, g: Iterable[int],
     new.
     """
     g = frozenset(g)
-    containing = X.codim1_faces.get(g)
-    if containing is None:
+    containing = _facets_containing(X, g) if len(g) == X.dim else []
+    if not containing:
         raise NotCodimOneFaceError(
-            f"{sorted(g)} is not a codimension-one face")
+            f"{_listed(g)} is not a codimension-one face")
     if m < 0:
         raise InputError("m must be >= 0")
     if m == 0:

@@ -34,6 +34,11 @@ def fblocks(X, Q) -> set[frozenset[tuple[str, ...]]]:
     return {frozenset(X.facet_tokens(f) for f in block) for block in Q.blocks}
 
 
+def facet_sets(X) -> tuple[frozenset[int], ...]:
+    """X's facets as vertex-id sets, in the order of ``X.facet_tuples``."""
+    return tuple(map(frozenset, X.facet_tuples))
+
+
 def merging_facet_to_vertex(X, Q) -> sc.Partition:
     """A faulty facet_to_vertex: the true image with its first two blocks
     whose union has no two vertices on one facet merged into one (the
@@ -43,7 +48,7 @@ def merging_facet_to_vertex(X, Q) -> sc.Partition:
     for a in range(len(blocks)):
         for b in range(a + 1, len(blocks)):
             union = blocks[a] | blocks[b]
-            if all(len(union & f) <= 1 for f in X.facets):
+            if all(len(union.intersection(f)) <= 1 for f in X.facet_tuples):
                 rest = [blk for i, blk in enumerate(blocks) if i not in (a, b)]
                 return sc.make_partition("vertices", rest + [union])
     return P

@@ -200,7 +200,7 @@ def test_criterion_7_restriction_and_colimit():
 
     for seed in range(50):
         X = random_stacked(1 + seed % 3, 1 + seed % 7, seed)
-        walls = sorted(X.codim1_faces, key=sorted)
+        walls = sorted(map(frozenset, X.codim1_faces), key=sorted)
         g = rng.choice(walls)
         blocks: list[list[int]] = []
         for f in range(X.n_facets):

@@ -28,7 +28,7 @@ def bipartite_sweep(X):
     index = X.codim1_faces
     n = X.n_facets
     node = {ridge: r for r, ridge in enumerate(index, n)}
-    adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
+    adjacency = [[node[face] for face in combinations(facet, X.dim)]
                  for facet in X.facet_tuples] + list(index.values())
     reached_from = [-1] * len(adjacency)
     reached_from[0] = 0
@@ -42,8 +42,8 @@ def bipartite_sweep(X):
     up, free, port, depth = ([0] * n for _ in range(4))
     for c in order[1:]:
         p = up[c] = reached_from[reached_from[c]]
-        (free[c],) = X.facets[c] - X.facets[p]
-        (port[c],) = X.facets[p] - X.facets[c]
+        (free[c],) = set(X.facet_tuples[c]).difference(X.facet_tuples[p])
+        (port[c],) = set(X.facet_tuples[p]).difference(X.facet_tuples[c])
         depth[c] = depth[p] + 1
     return order, up, free, port, depth
 
@@ -69,8 +69,7 @@ def assert_same(X, tokens):
     """X equals build_complex(tokens) in every field and lookup, and its
     stacking tree and certificate equal those of the parsed complex."""
     R = sc.build_complex(tokens)
-    assert (X.labels, X.facets, X.facet_tuples, X.dim) == (
-        R.labels, R.facets, R.facet_tuples, R.dim)
+    assert (X.labels, X.facet_tuples, X.dim) == (R.labels, R.facet_tuples, R.dim)
     assert X == R and hash(X) == hash(R)
     assert [X.id_of(tok) for tok in R.labels] == list(range(R.n_vertices))
     assert [X.facet_from_tokens(f) for f in tokens] == [

@@ -1,4 +1,5 @@
 import ast
+import random
 import time
 from itertools import combinations
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackedcx as sc
-from stackedcx import errors
+from stackedcx import complexes, errors
 from stackedcx.generators import all_trees, random_stacked
 
 from conftest import cx, facet, relabelled
@@ -188,7 +189,7 @@ class TestStacking:
             # a new facet meets the earlier ones in exactly the ridge it is glued on
             ridges = [frozenset(r) for r in combinations(X.facet_tuples[f], X.dim)]
             (glued,) = [r for r in ridges if r in walls]
-            assert X.facets[f] - glued == {cert.free_vertices[k]}
+            assert set(X.facet_tuples[f]) - glued == {cert.free_vertices[k]}
             walls.update(ridges)
 
 
@@ -254,6 +255,69 @@ class TestDualAdjacency:
                         seen.add(g)
                         stack.append(g)
             assert len(seen) == X.n_facets
+
+
+def reference_facet_from_tokens(X, tokens):
+    """facet_from_tokens over frozenset facets, the lookup it replaced:
+    the same errors in the same order, and the same index."""
+    tokens = list(tokens)
+    vertices = frozenset(map(X.id_of, tokens))
+    if len(vertices) != len(tokens):
+        raise errors.DuplicateVertexError(f"repeated vertex in facet {','.join(tokens)!r}")
+    index = {frozenset(f): i for i, f in enumerate(X.facet_tuples)}
+    if vertices not in index:
+        raise errors.InputError(f"unknown facet {','.join(tokens)!r}")
+    return index[vertices]
+
+
+def lookup_outcome(lookup, X, tokens):
+    try:
+        return lookup(X, tokens)
+    except errors.InputError as e:
+        return type(e), str(e)
+
+
+def fuzzed_token_lists(X, rng):
+    """Each facet's tokens permuted, then with a token unknown, repeated,
+    dropped or added, and token lists of facet size drawn at random."""
+    for i in range(X.n_facets):
+        tokens = list(X.facet_tokens(i))
+        rng.shuffle(tokens)
+        yield tokens
+        k = rng.randrange(len(tokens))
+        yield tokens[:k] + ["?"] + tokens[k + 1:]
+        yield tokens[:k] + [tokens[k - 1]] + tokens[k + 1:]
+        yield tokens + [tokens[k]]
+        yield tokens[:k] + tokens[k + 1:]
+        yield tokens + [rng.choice(X.labels)]
+        yield rng.sample(X.labels, len(tokens))
+        yield [rng.choice(X.labels) for _ in tokens]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_facet_lookup_equals_the_frozenset_lookup(seed):
+    rng = random.Random(seed)
+    X = random_stacked(1 + seed % 3, 1 + seed % 13, seed)
+    for Y in (X, relabelled(X, seed)):
+        for tokens in fuzzed_token_lists(Y, rng):
+            assert (lookup_outcome(sc.SimplicialComplex.facet_from_tokens, Y, tokens)
+                    == lookup_outcome(reference_facet_from_tokens, Y, tokens)), tokens
+
+
+def test_certificate_and_lookups_build_no_frozenset(monkeypatch):
+    """The stacking tree, the ridge index and the facet lookup of a
+    relabelled 10^4-facet stacking read sorted id tuples only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frozenset was built")
+
+    X = relabelled(random_stacked(2, 10 ** 4, 3), 3)
+    monkeypatch.setattr(complexes, "frozenset", refuse, raising=False)
+    cert = sc.find_stacking_order(X)
+    assert cert is not None
+    assert len(X.codim1_faces) == X.dim * X.n_facets + 1  # d new ridges per facet
+    assert all(X.facet_from_tokens(X.facet_tokens(i)) == i for i in range(X.n_facets))
+    monkeypatch.undo()
+    assert sc.replay_stacking_order(X, cert)
 
 
 def test_subcomplex_keeps_tokens(heptagon):

@@ -274,7 +274,7 @@ class TestRestrictionCompatibility:
         rng = random.Random(99)
         for seed in range(10):
             X = random_stacked(1 + seed % 3, 2 + seed % 6, seed)
-            walls = sorted(X.codim1_faces, key=sorted)
+            walls = sorted(map(frozenset, X.codim1_faces), key=sorted)
             g = rng.choice(walls)
             Q = random_facet_partition(X, rng)
             for m in range(1, X.n_facets + 1):
@@ -290,8 +290,8 @@ class TestGeneratorPairs:
         assert pairs == {frozenset("37"), frozenset("14"),
                          frozenset("46"), frozenset("16")}
         for g in gens:
-            assert g.a in heptagon.facets[g.witness[0]]
-            assert g.b in heptagon.facets[g.witness[-1]]
+            assert g.a in heptagon.facet_tuples[g.witness[0]]
+            assert g.b in heptagon.facet_tuples[g.witness[-1]]
 
     def test_closure_of_generators_matches_map(self):
         def check(X, Q):

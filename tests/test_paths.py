@@ -9,20 +9,20 @@ import stackedcx as sc
 from stackedcx import errors
 from stackedcx.generators import random_stacked
 
-from conftest import cx, facet, relabelled
+from conftest import cx, facet, facet_sets, relabelled
 
 
 def paper_paths(X, f, g):
     """Independent oracle: all walks from f to g whose consecutive
     intersections are pairwise distinct, by exhaustive search."""
-    adj = sc.dual_adjacency(X)
+    adj, sets = sc.dual_adjacency(X), facet_sets(X)
     found = []
 
     def dfs(cur, walk, used):
         if cur == g:
             found.append(tuple(walk))
         for nxt in adj[cur]:
-            inter = X.facets[cur] & X.facets[nxt]
+            inter = sets[cur] & sets[nxt]
             if inter in used:
                 continue
             walk.append(nxt)
@@ -60,6 +60,13 @@ class TestReduceWalk:
     def test_rejects_empty(self, heptagon):
         with pytest.raises(errors.InputError):
             sc.reduce_walk(heptagon, [])
+
+    def test_rejects_a_closed_walk_on_a_cycle(self):
+        # its intersections are pairwise distinct, but it ends where it began
+        X = cx("1 2", "2 3", "3 4", "1 4")
+        walk = [facet(X, t) for t in ("1,2", "2,3", "3,4", "1,4", "1,2")]
+        with pytest.raises(errors.InputError, match=r"^repeated facet in path"):
+            sc.reduce_walk(X, walk)
 
 
 class TestFacetPath:
@@ -179,10 +186,12 @@ class TestFacePath:
         with pytest.raises(errors.NotAFaceError):
             sc.face_path(heptagon, {heptagon.id_of("1")},
                          {heptagon.id_of("3"), heptagon.id_of("6")})
+        with pytest.raises(errors.NotAFaceError, match=r"^\[0, 'a'\] is not a face$"):
+            sc.face_path(heptagon, ["a", 0], {1})
 
     def test_face_to_wall(self, heptagon):
         g = frozenset(heptagon.id_of(t) for t in "24")
-        fp = sc.face_path(heptagon, heptagon.facets[facet(heptagon, "5,6,7")], g)
+        fp = sc.face_path(heptagon, heptagon.facet_tuples[facet(heptagon, "5,6,7")], g)
         assert fp.facets == tuple(facet(heptagon, t) for t in
                                   ("5,6,7", "2,5,7", "2,4,5"))
 
@@ -196,13 +205,14 @@ class TestFacePath:
                 continue
             v, w = rng.choice(pairs)
             expected = sc.face_path(X, (v,), (w,)).facets
+            sets = facet_sets(X)
             for f in X.vertex_facets[v]:
                 for g in X.vertex_facets[w]:
                     full = sc.facet_path(X, f, g)
                     i = max(i for i, fi in enumerate(full.facets)
-                            if v in X.facets[fi])
+                            if v in sets[fi])
                     j = min(j for j in range(i, len(full.facets))
-                            if w in X.facets[full.facets[j]])
+                            if w in sets[full.facets[j]])
                     assert full.facets[i:j + 1] == expected
 
     def test_interior_never_swallows_ends(self):
@@ -223,17 +233,17 @@ class TestFacePathSemantics:
 
     @staticmethod
     def all_valid_face_paths(X, h, k):
-        found = set()
+        found, sets = set(), facet_sets(X)
         for f in range(X.n_facets):
-            if not h <= X.facets[f]:
+            if not h <= sets[f]:
                 continue
             for g in range(X.n_facets):
-                if not k <= X.facets[g]:
+                if not k <= sets[g]:
                     continue
                 for walk in paper_paths(X, f, g):
                     if len(walk) >= 2:
-                        first_inter = X.facets[walk[0]] & X.facets[walk[1]]
-                        last_inter = X.facets[walk[-1]] & X.facets[walk[-2]]
+                        first_inter = sets[walk[0]] & sets[walk[1]]
+                        last_inter = sets[walk[-1]] & sets[walk[-2]]
                         if h <= first_inter or k <= last_inter:
                             continue
                     found.add(walk)
@@ -243,7 +253,7 @@ class TestFacePathSemantics:
         for seed in range(12):
             X = random_stacked(1 + seed % 3, 2 + seed % 4, seed)
             faces = [frozenset({v}) for v in range(X.n_vertices)]
-            faces += sorted(X.codim1_faces, key=sorted)
+            faces += sorted(map(frozenset, X.codim1_faces), key=sorted)
             for h in faces:
                 for k in faces:
                     witnesses = self.all_valid_face_paths(X, h, k)
@@ -322,19 +332,19 @@ def reference_neighborhood(X, g, m, dist):
     """The level-m neighborhood of wall g from each facet's wall distance."""
     if m == 0:
         return sc.DistanceNeighborhood(m=0, facets=(), vertices=g, entry_facets={})
-    facets = tuple(f for f in range(X.n_facets) if dist[f] <= m)
-    vertices = frozenset(v for f in facets for v in X.facets[f])
+    facets, sets = tuple(f for f in range(X.n_facets) if dist[f] <= m), facet_sets(X)
+    vertices = frozenset(v for f in facets for v in sets[f])
     before = g if m == 1 else frozenset(
-        v for f in range(X.n_facets) if dist[f] <= m - 1 for v in X.facets[f])
+        v for f in range(X.n_facets) if dist[f] <= m - 1 for v in sets[f])
     entry = {}
     for v in vertices - before:
-        (entry[v],) = [f for f in facets if v in X.facets[f]]
+        (entry[v],) = [f for f in facets if v in sets[f]]
     return sc.DistanceNeighborhood(m=m, facets=facets, vertices=vertices,
                                    entry_facets=entry)
 
 
 def assert_matches_reference(X):
-    for g in X.codim1_faces:
+    for g in map(frozenset, X.codim1_faces):
         dist = [sc.wall_distance(X, f, g) for f in range(X.n_facets)]
         for m in range(0, max(dist) + 2):
             got = sc.distance_neighborhood(X, g, m)
@@ -370,21 +380,31 @@ class TestDistanceNeighborhood:
         with pytest.raises(errors.NotCodimOneFaceError):
             sc.distance_neighborhood(heptagon, {heptagon.id_of("1")}, 1)
 
+    @pytest.mark.parametrize("g", [(), ("2",), ("2", "4", "5"), ("1", "3"), ("1", 99),
+                                   (-1, "2"), (0, "a")])
+    def test_rejects_all_but_walls(self, heptagon, g):
+        # empty, a vertex, a facet, a non-face, ids out of range, a mixed list
+        ids = [heptagon.id_of(v) if isinstance(v, str) and v.isdigit() else v for v in g]
+        listed = sorted(ids, key=lambda v: (isinstance(v, str), v))
+        with pytest.raises(errors.NotCodimOneFaceError) as info:
+            sc.distance_neighborhood(heptagon, ids, 1)
+        assert str(info.value) == f"{listed} is not a codimension-one face"
+
     def test_entry_facets_property(self):
         # each vertex new at level m sits on a unique facet of X_m whose
         # other vertices were already present at level m-1
         rng = random.Random(5)
         for seed in range(20):
             X = random_stacked(1 + seed % 3, 2 + seed % 6, seed)
-            walls = sorted(X.codim1_faces, key=sorted)
+            walls = sorted(map(frozenset, X.codim1_faces), key=sorted)
             g = rng.choice(walls)
             prev = sc.distance_neighborhood(X, g, 0)
             for m in range(1, X.n_facets + 1):
                 cur = sc.distance_neighborhood(X, g, m)
                 for v, fv in cur.entry_facets.items():
-                    assert v in X.facets[fv]
-                    assert X.facets[fv] - {v} <= prev.vertices
-                    hosts = [f for f in cur.facets if v in X.facets[f]]
+                    assert v in X.facet_tuples[fv]
+                    assert set(X.facet_tuples[fv]) - {v} <= prev.vertices
+                    hosts = [f for f in cur.facets if v in X.facet_tuples[f]]
                     assert hosts == [fv]
                 prev = cur
                 if len(cur.facets) == X.n_facets:
@@ -393,7 +413,7 @@ class TestDistanceNeighborhood:
     def test_wall_distance_one_iff_contains(self, heptagon):
         g = frozenset(heptagon.id_of(t) for t in "24")
         for f in range(heptagon.n_facets):
-            contains = g <= heptagon.facets[f]
+            contains = g.issubset(heptagon.facet_tuples[f])
             assert (sc.wall_distance(heptagon, f, g) == 1) == contains
 
     @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))

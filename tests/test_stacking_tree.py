@@ -13,7 +13,7 @@ import stackedcx as sc
 from stackedcx import errors, paths
 from stackedcx.generators import random_stacked
 
-from conftest import closure, cx, relabelled
+from conftest import closure, cx, facet_sets, relabelled
 
 
 stackings = st.builds(relabelled,
@@ -46,16 +46,17 @@ def reference_vertex_path(X, v, w):
     """Facets of the face path between independent vertices: the reduced
     path between their first facets, trimmed to its last facet on v and
     the first facet on w after it."""
-    on_v = [i for i, f in enumerate(X.facets) if v in f]
-    on_w = [i for i, f in enumerate(X.facets) if w in f]
+    sets = facet_sets(X)
+    on_v = [i for i, f in enumerate(sets) if v in f]
+    on_w = [i for i, f in enumerate(sets) if w in f]
     full = reference_facet_path(X, on_v[0], on_w[0]).facets
-    i = max(idx for idx, f in enumerate(full) if v in X.facets[f])
-    j = min(idx for idx in range(i, len(full)) if w in X.facets[full[idx]])
+    i = max(idx for idx, f in enumerate(full) if v in sets[f])
+    j = min(idx for idx in range(i, len(full)) if w in sets[full[idx]])
     return full[i:j + 1]
 
 
 def independent(X, v, w):
-    return not any(v in f and w in f for f in X.facets)
+    return not any(v in f and w in f for f in facet_sets(X))
 
 
 def random_facet_partition(X, rng):

@@ -24,7 +24,7 @@ def ridge_incidence(X):
     ``combinations`` order and a ridge its facets in ascending order."""
     index = X.codim1_faces
     node = {ridge: r for r, ridge in enumerate(index, X.n_facets)}
-    adjacency = [[node[frozenset(face)] for face in combinations(facet, X.dim)]
+    adjacency = [[node[face] for face in combinations(facet, X.dim)]
                  for facet in X.facet_tuples]
     adjacency.extend(index.values())
     return adjacency
