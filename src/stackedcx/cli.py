@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .complexes import find_stacking_order, stacking_tree
-from .errors import InputError
+from .errors import InputError, NotSeparatedError
 from .generators import (
     polygon_triangulation,
     random_stacked,
@@ -97,13 +97,11 @@ def cmd_path(args) -> int:
         print(f"distance: {len(path) - 1}")
     else:
         v, w = (X.id_of(t) for t in args.vertices)
-        if v == w:
-            print("distance: 0")
+        try:
+            fp = face_path(X, (v,), (w,))
+        except NotSeparatedError:  # equal, or facet mates with no single witness facet
+            print(f"distance: {int(v != w)}")
             return 0
-        if len(set(X.vertex_facets[v]) & set(X.vertex_facets[w])) >= 2:
-            print("distance: 1")  # facet mates with no single witness facet
-            return 0
-        fp = face_path(X, (v,), (w,))
         middle = " ".join(facet_token(X, i) for i in fp.facets)
         print(f"path: {X.token_of(v)} | {middle} | {X.token_of(w)}")
         print(f"distance: {len(fp)}")
@@ -155,7 +153,7 @@ def cmd_nat(args) -> int:
     result = (refine_iter(P, args.steps) if refined is None
               else refine_iter(refined, args.steps - 1))
     print(format_partition_line(result))
-    if P.n >= 2:
+    if args.n >= 2:
         ok = check_colimit_compatibility(P, refined=refined)
         print(f"colimit={'ok' if ok else 'FAIL'}")
         if not ok:

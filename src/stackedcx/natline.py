@@ -1,9 +1,11 @@
 """Prefix computations for the infinite line graph.
 
 Edges and vertices of the line graph are both identified with initial
-segments of the positive integers: edge i joins vertices i and i+1.  Under
-this identification a partition of [1..n] (read as edges of L_n) refines to
-a partition of [1..n+1] (read as vertices) with one more block and scatter
+segments of the positive integers: edge i joins vertices i and i+1.  A
+partition of [1..n] is a :class:`partitions.Partition` of kind
+"integers", and n is the number of its elements.  Under this
+identification a partition of [1..n] (read as edges of L_n) refines to a
+partition of [1..n+1] (read as vertices) with one more block and scatter
 one higher, and the refinement is compatible with growing the prefix.
 The refinement is the facet-to-vertex map written on the path itself, so
 no complex is built for it; :func:`line_graph` builds L_n as a complex for
@@ -13,40 +15,18 @@ restriction build their results directly, as both take partitions of a
 prefix to partitions of a prefix.
 """
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex, complex_from_ids
 from .errors import InputError, NotAPartitionError
-from .partitions import make_partition
+from .partitions import Partition, make_partition
 
 
-@dataclass(frozen=True)
-class PrefixPartition:
-    """A partition of the integer interval [1..n], canonically ordered."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    def scatter(self) -> int | None:
-        """Smallest gap within a block; None when all blocks are singletons
-        (every scatter bound holds vacuously then)."""
-        gaps = [b - a for block in self.blocks
-                for a, b in zip(block, block[1:])]
-        return min(gaps) if gaps else None
-
-
-def make_prefix_partition(n: int,
-                          blocks: Iterable[Iterable[int]]) -> PrefixPartition:
+def make_prefix_partition(n: int, blocks: Iterable[Iterable[int]]) -> Partition:
     """Blocks that partition [1..n], canonicalized by :func:`make_partition`."""
     if n < 1:
         raise InputError("prefix length must be >= 1")
-    P = make_partition("integers", blocks, range(1, n + 1))
-    return PrefixPartition(n=n, blocks=P.blocks)
+    return make_partition("integers", blocks, range(1, n + 1))
 
 
 def line_graph(n: int) -> SimplicialComplex:
@@ -58,7 +38,7 @@ def line_graph(n: int) -> SimplicialComplex:
     return complex_from_ids(tuple(map(str, range(1, n + 2))), zip(range(n), range(1, n + 1)))
 
 
-def refine_once(P: PrefixPartition) -> PrefixPartition:
+def refine_once(P: Partition) -> Partition:
     """One refinement step: read [1..n] as edges of L_n, map to the vertex
     partition, and read vertices back as [1..n+1].
 
@@ -70,23 +50,26 @@ def refine_once(P: PrefixPartition) -> PrefixPartition:
     vertex 1 and one from e + 1 for the first edge e of each block.  The
     step is O(n) and builds no complex; it equals
     ``facet_to_vertex(line_graph(n), ...)`` with every element shifted by
-    one.  Blocks that do not partition [1..n] raise
+    one.  A partition of another kind, or blocks that do not partition
+    [1..n], n the number of their elements, raise
     :class:`NotAPartitionError`.
     """
-    n = P.n
+    if P.kind != "integers":
+        raise NotAPartitionError(f"expected a partition of integers, got {P.kind}")
+    blocks = [sorted(block) for block in P.blocks if block]
+    n = sum(map(len, blocks))
     if n < 1:
         raise InputError("line graph needs at least one edge")
-    blocks = [sorted(block) for block in P.blocks if block]
     # after[v]: the later vertex related to vertex v, one past the edge
     # after v in v's block; -1 when v is its block's last edge, 0 for n + 1
     after = [0] * (n + 2)
-    if sum(map(len, blocks)) == n and all(s[0] >= 1 and s[-1] <= n for s in blocks):
+    if all(s[0] >= 1 and s[-1] <= n for s in blocks):
         for s in blocks:
             for e, f in zip(s, s[1:]):
                 after[e] = f + 1
             after[s[-1]] = -1
-    # only n elements of [1..n] are written, and n writes that reach all n
-    # edges reach each of them once
+    # the n elements make n writes, and n writes that reach all n edges
+    # reach each of them once
     if 0 in after[1:-1]:
         raise NotAPartitionError(f"blocks do not partition the {n} facets")
     chains = []
@@ -95,10 +78,10 @@ def refine_once(P: PrefixPartition) -> PrefixPartition:
         while (v := after[v]) > 0:
             chain.append(v)
         chains.append(tuple(chain))
-    return PrefixPartition(n + 1, tuple(chains))
+    return Partition("integers", tuple(chains))
 
 
-def refine_iter(P: PrefixPartition, steps: int) -> PrefixPartition:
+def refine_iter(P: Partition, steps: int) -> Partition:
     """Iterate :func:`refine_once`; blocks grow by one and scatter by one
     per step."""
     if steps < 0:
@@ -108,27 +91,29 @@ def refine_iter(P: PrefixPartition, steps: int) -> PrefixPartition:
     return P
 
 
-def restrict_prefix(P: PrefixPartition, n: int) -> PrefixPartition:
+def restrict_prefix(P: Partition, n: int) -> Partition:
     """Intersect every block with [1..n], dropping emptied blocks; the
-    rest partition [1..n] when P partitions [1..P.n]."""
-    if not 1 <= n <= P.n:
-        raise InputError(f"cannot restrict prefix of length {P.n} to {n}")
+    rest partition [1..n] when P partitions [1..m], m >= n."""
+    if P.kind != "integers":
+        raise NotAPartitionError(f"expected a partition of integers, got {P.kind}")
+    length = sum(map(len, P.blocks))
+    if not 1 <= n <= length:
+        raise InputError(f"cannot restrict prefix of length {length} to {n}")
     blocks = [tuple(sorted(e for e in block if e <= n)) for block in P.blocks]
-    return PrefixPartition(n, tuple(sorted(b for b in blocks if b)))
+    return Partition("integers", tuple(sorted(b for b in blocks if b)))
 
 
-def check_colimit_compatibility(P: PrefixPartition, *,
-                                refined: PrefixPartition | None = None) -> bool:
+def check_colimit_compatibility(P: Partition, *,
+                                refined: Partition | None = None) -> bool:
     """Refining then restricting must equal restricting then refining.
 
     P is read as an edge partition of the line graph one longer than the
     one it restricts to, so its length must be at least 2.  ``refined``
     is ``refine_once(P)``, computed when not given.
     """
-    if P.n < 2:
+    n = sum(map(len, P.blocks))
+    if n < 2:
         raise InputError("compatibility check needs a prefix of length >= 2")
     if refined is None:
         refined = refine_once(P)
-    shorter = refine_once(restrict_prefix(P, P.n - 1))
-    longer = restrict_prefix(refined, P.n)
-    return shorter.blocks == longer.blocks
+    return refine_once(restrict_prefix(P, n - 1)) == restrict_prefix(refined, n)

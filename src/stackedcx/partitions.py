@@ -1,10 +1,13 @@
 """Partitions of vertices or facets and the maps between them.
 
-A :class:`Partition` is a plain value over dense ids with one validator,
-:func:`make_partition`, for blocks a caller gives (and, through
-:func:`natline.make_prefix_partition`, for [1..n]).  Tokens become ids
-and back only in :mod:`textio`, whose parsers check range, overlap and
-cover as they read and build partitions directly, as the maps do.
+A :class:`Partition` is a plain value with one validator,
+:func:`make_partition`, for blocks a caller gives.  Its kind names the
+ground set: "vertices" and "facets" are dense ids from 0, and "integers"
+is a prefix [1..n] of the positive integers, whose partitions
+:mod:`natline` refines (validated by
+:func:`natline.make_prefix_partition`).  Tokens become ids and back only
+in :mod:`textio`, whose parsers check range, overlap and cover as they
+read and build partitions directly, as the maps do.
 
 The two correspondences work pair by pair.  Facet partition -> vertex
 partition: two independent vertices are related when the end facets of

@@ -12,9 +12,9 @@ works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
 Facets are read as ``facet_tuples``, sorted vertex-id tuples; faces and
-intersections handed back are frozensets.  The facets containing a face,
-a wall or any other, come from one lookup, :func:`_facets_containing`,
-over the facets of the face's vertex on fewest facets.
+intersections handed back are frozensets.  The facets containing a face
+come from one lookup, :func:`_facets_containing`: a wall's from the ridge
+index, any other face's from the facets of its vertex on fewest facets.
 
 The elements closer than a scatter bound to an element, its *close*
 list, are one bounded sweep of the tree as a graph built from the same
@@ -142,12 +142,14 @@ def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
     return left, right
 
 
-def _facets_containing(X: SimplicialComplex, face: frozenset) -> list[int]:
-    """The facets containing a non-empty vertex set, in ascending order,
-    from the facets of its vertex on fewest facets: a wall through a hub
-    vertex costs the degree of its other end."""
+def _facets_containing(X: SimplicialComplex, face: frozenset) -> Sequence[int]:
+    """The facets containing a non-empty vertex set, in ascending order: a
+    wall's from the ridge index, any other face's from the facets of its
+    vertex on fewest facets."""
     if not all(isinstance(v, int) and 0 <= v < X.n_vertices for v in face):
         return []
+    if len(face) == X.dim:
+        return X.codim1_faces.get(tuple(sorted(face)), [])
     t, on = X.facet_tuples, X.vertex_facets
     return [f for f in min((on[v] for v in face), key=len) if face.issubset(t[f])]
 

@@ -2,7 +2,10 @@
 
 Complex files: one facet per line, vertex tokens separated by spaces.
 Partition files: one block per line; for facet partitions each token is a
-facet written as its vertex tokens joined by commas.  Lines end at
+facet written as its vertex tokens joined by commas, and for partitions
+of kind "integers", of a prefix [1..n], an integer in decimal.  A whole
+line is resolved at once, and only a line that fails is read again token
+by token to name the token at fault.  Lines end at
 universal newlines only; lines starting with '#' are comments, blank
 lines are ignored, encoding is UTF-8, and one leading byte-order mark is
 dropped.
@@ -16,7 +19,6 @@ from .errors import (
     OverlapError,
     UnknownTokenError,
 )
-from .natline import PrefixPartition
 from .partitions import Partition
 
 _PALETTE = ("#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00", "#a65628",
@@ -54,12 +56,13 @@ def facet_token(X: SimplicialComplex, i: int) -> str:
     return ",".join(X.facet_tokens(i))
 
 
-def _parse_blocks(text: str, resolve, universe_size: int,
+def _parse_blocks(text: str, line, token, universe_size: int,
                   describe: str) -> tuple[tuple[int, ...], ...]:
-    """The canonical blocks of a partition file, one per line, as ids:
-    ``resolve(tokens, ln)`` gives the ids of one line's tokens and raises
-    :class:`UnknownTokenError` on the first it cannot resolve.  A line
-    that fails, or repeats an element, is read again token by token, so
+    """The canonical blocks of a partition file, one per line, as ids.
+    ``line(tokens)`` gives the ids of a whole line's tokens or raises
+    LookupError; ``token(tok, ln)`` gives the id of one token or raises
+    :class:`UnknownTokenError` naming it.  A line that ``line`` does not
+    resolve, or that repeats an element, is read again token by token, so
     the error names the first token at fault as the line reads.  Range,
     overlap and cover are checked here, so the blocks need no other
     check."""
@@ -67,17 +70,18 @@ def _parse_blocks(text: str, resolve, universe_size: int,
     owner: dict[int, int] = {}
     for ln, tokens in _content_lines(text):
         try:
-            block = resolve(tokens, ln)
-        except UnknownTokenError:
+            block = line(tokens)
+        except LookupError:
             block = None
         if block is None or len(set(block)) < len(block) or not owner.keys().isdisjoint(block):
-            # raises at the first token at fault
-            for tok in tokens:
-                [e] = resolve([tok], ln)
+            block = []
+            for tok in tokens:  # raises at the first token at fault
+                e = token(tok, ln)
                 if e in owner:
                     raise OverlapError(f"{tok!r} already in the block on line "
                                        f"{owner[e]}", line=ln)
                 owner[e] = ln
+                block.append(e)
         owner.update(dict.fromkeys(block, ln))
         blocks.append(block)
     if len(owner) < universe_size:
@@ -86,23 +90,25 @@ def _parse_blocks(text: str, resolve, universe_size: int,
     return tuple(sorted(tuple(sorted(block)) for block in blocks))
 
 
-def _each(resolve):
-    """A line resolver for :func:`_parse_blocks` from a token resolver."""
-    return lambda tokens, ln: [resolve(tok, ln) for tok in tokens]
-
-
 def parse_vertex_partition(text: str, X: SimplicialComplex) -> Partition:
-    def resolve(tok: str, ln: int) -> int:
+    ids = X._ids()
+
+    def token(tok: str, ln: int) -> int:
         try:
-            return X.id_of(tok)
-        except InputError:
+            return ids[tok]
+        except KeyError:
             raise UnknownTokenError(f"unknown vertex {tok!r}", line=ln) from None
 
-    return Partition("vertices", _parse_blocks(text, _each(resolve), X.n_vertices, "vertices"))
+    return Partition("vertices", _parse_blocks(
+        text, lambda tokens: [ids[tok] for tok in tokens], token, X.n_vertices, "vertices"))
 
 
 def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
-    def resolve(tok: str, ln: int) -> int:
+    # a token's vertex ids, sorted, are a facet's key; one that repeats a
+    # vertex is no facet's, so its line is read again to name it
+    ids, facet_ids = X._ids().__getitem__, X._facet_ids()
+
+    def token(tok: str, ln: int) -> int:
         try:
             return X.facet_from_tokens(tok.split(","))
         except DuplicateVertexError as exc:
@@ -110,13 +116,15 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
         except InputError:
             raise UnknownTokenError(f"unknown facet {tok!r}", line=ln) from None
 
-    return Partition("facets", _parse_blocks(text, _each(resolve), X.n_facets, "facets"))
+    return Partition("facets", _parse_blocks(
+        text, lambda tokens: [facet_ids[tuple(sorted(map(ids, tok.split(","))))] for tok in tokens],
+        token, X.n_facets, "facets"))
 
 
-def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
+def parse_prefix_partition(text: str, n: int) -> Partition:
     width = len(str(n))
 
-    def resolve(tokens: list[str], ln: int) -> list[int]:
+    def line(tokens: list[str]) -> list[int]:
         # a line of plain digits no wider than n converts at once; a
         # longer token is past n whatever its digits, and is never
         # converted, as int() refuses more than 4,300 digits
@@ -124,36 +132,34 @@ def parse_prefix_partition(text: str, n: int) -> PrefixPartition:
             block = list(map(int, tokens))
             if min(block) >= 1 and max(block) <= n:
                 return block
-        block = []
-        for tok in tokens:
-            digits = tok.lstrip("0")
-            if (not _NUMERIC.match(tok) or len(digits) > width
-                    or not 1 <= int(digits or "0") <= n):
-                raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
-            block.append(int(digits))
-        return block
+        raise LookupError("not plain integers in [1..n]")
 
-    blocks = _parse_blocks(text, resolve, n, "integers")
+    def token(tok: str, ln: int) -> int:
+        digits = tok.lstrip("0")
+        if not _NUMERIC.match(tok) or len(digits) > width or not 1 <= int(digits or "0") <= n:
+            raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
+        return int(digits)
+
+    blocks = _parse_blocks(text, line, token, n, "integers")
     if n < 1:
         raise InputError("prefix length must be >= 1")
-    return PrefixPartition(n=n, blocks=blocks)
+    return Partition("integers", blocks)
 
 
-def _block_tokens(X: SimplicialComplex | None, P) -> list[list[str]]:
-    kind = getattr(P, "kind", "integers")  # a PrefixPartition has no kind
-    if kind == "vertices":
+def _block_tokens(X: SimplicialComplex | None, P: Partition) -> list[list[str]]:
+    if P.kind == "vertices":
         return [[X.token_of(v) for v in block] for block in P.blocks]
-    if kind == "facets":
+    if P.kind == "facets":
         return [[facet_token(X, f) for f in block] for block in P.blocks]
     return [[str(e) for e in block] for block in P.blocks]
 
 
-def emit_partition(P, X: SimplicialComplex | None = None) -> str:
+def emit_partition(P: Partition, X: SimplicialComplex | None = None) -> str:
     """Partition file format: one block per line."""
     return "".join(" ".join(block) + "\n" for block in _block_tokens(X, P))
 
 
-def format_partition_line(P, X: SimplicialComplex | None = None) -> str:
+def format_partition_line(P: Partition, X: SimplicialComplex | None = None) -> str:
     """Single-line rendering, e.g. ``{1 3 5} {2 6} {4}``."""
     return " ".join("{" + " ".join(block) + "}" for block in _block_tokens(X, P))
 

@@ -340,7 +340,7 @@ class TestNat:
         real = natline.refine_once
 
         def counting(P):
-            calls.append(P.n)
+            calls.append(sum(map(len, P.blocks)))
             return real(P)
 
         # cli calls refine_once itself and through natline's functions

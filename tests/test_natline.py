@@ -17,7 +17,19 @@ def singleton_pattern(n, special):
     return sc.make_prefix_partition(n, [list(special), rest])
 
 
-def random_prefix(n, rng, parts=3) -> sc.PrefixPartition:
+def length(P):
+    """n for a partition of [1..n]: the number of its elements."""
+    return sum(map(len, P.blocks))
+
+
+def min_gap(P):
+    """Smallest gap within a block; None when all blocks are singletons
+    (every scatter bound holds vacuously then)."""
+    gaps = [b - a for block in P.blocks for a, b in zip(block, block[1:])]
+    return min(gaps) if gaps else None
+
+
+def random_prefix(n, rng, parts=3) -> sc.Partition:
     blocks: dict[int, list[int]] = {}
     for i in range(1, n + 1):
         blocks.setdefault(rng.randrange(parts), []).append(i)
@@ -76,11 +88,11 @@ class TestRefineOnce:
         for _ in range(30):
             P = random_prefix(rng.randint(2, 14), rng)
             out = sc.refine_once(P)
-            assert out.n == P.n + 1
+            assert length(out) == length(P) + 1
             assert out.n_blocks == P.n_blocks + 1
-            s = P.scatter()
+            s = min_gap(P)
             if s is not None:
-                got = out.scatter()
+                got = min_gap(out)
                 assert got is None or got == s + 1
 
 
@@ -117,8 +129,8 @@ class TestRefineIter:
     def test_long_three_block_pattern(self):
         P = random_prefix(2000, random.Random(2000))
         got = sc.refine_iter(P, 2)
-        assert got.n == 2002 and got.n_blocks == P.n_blocks + 2
-        assert got.scatter() == P.scatter() + 2
+        assert length(got) == 2002 and got.n_blocks == P.n_blocks + 2
+        assert min_gap(got) == min_gap(P) + 2
         assert sc.check_colimit_compatibility(P)
 
     def test_negative_steps_rejected(self):
@@ -165,25 +177,38 @@ class TestPrefixPartition:
             sc.make_prefix_partition(3, [[1, 2], [2, 3]])
         with pytest.raises(errors.NotAPartitionError):
             sc.make_prefix_partition(3, [[0, 1, 2, 3]])
-        for blocks in (((0, 1, 2),),      # built directly: outside [1..n],
-                       ((1, 2),),          # missing an element,
-                       ((1, 2), (2, 3)),   # repeating one across blocks,
-                       ((1, 3), (3,)),     # repeating one in place of a missing one,
-                       ((1, 1, 3),)):      # or within a block
+        # built directly, a partition of [1..n] has n elements: blocks
+        # that are not one name that many facets
+        for blocks, n in ((((0, 1, 2),), 3),     # outside [1..n],
+                          (((1, 2), (2, 3)), 4), # repeating one across blocks,
+                          (((1, 3), (3,)), 3),   # repeating one in place of a missing one,
+                          (((1, 1, 3),), 3)):    # or within a block
             with pytest.raises(errors.NotAPartitionError,
-                               match="^blocks do not partition the 3 facets$"):
-                sc.refine_once(sc.PrefixPartition(3, blocks))
+                               match=f"^blocks do not partition the {n} facets$"):
+                sc.refine_once(sc.Partition("integers", blocks))
+        # with no element missing from [1..2], ((1, 2),) is a partition
+        assert sc.refine_once(sc.Partition("integers", ((1, 2),))) == \
+            sc.refine_once(prefix(2, [1, 2])) == sc.Partition("integers", ((1, 3), (2,)))
+
+    def test_other_kinds_are_rejected(self):
+        for kind in ("facets", "vertices"):
+            with pytest.raises(errors.NotAPartitionError,
+                               match=f"^expected a partition of integers, got {kind}$"):
+                sc.refine_once(sc.make_partition(kind, [[1, 2], [3]]))
+            with pytest.raises(errors.NotAPartitionError,
+                               match=f"^expected a partition of integers, got {kind}$"):
+                sc.restrict_prefix(sc.make_partition(kind, [[1, 2], [3]]), 2)
 
     def test_scatter(self):
-        assert prefix(6, [1, 4], [2, 5], [3, 6]).scatter() == 3
-        assert prefix(3, [1], [2], [3]).scatter() is None
+        assert min_gap(prefix(6, [1, 4], [2, 5], [3, 6])) == 3
+        assert min_gap(prefix(3, [1], [2], [3])) is None
 
     def test_restrict_prefix(self):
         P = prefix(6, [1, 4], [2, 5], [3, 6])
         assert sc.restrict_prefix(P, 4).blocks == ((1, 4), (2,), (3,))
 
     def test_restrict_prefix_built_directly_with_an_unsorted_block(self):
-        P = sc.PrefixPartition(3, ((1, 3, 2),))
+        P = sc.Partition("integers", ((1, 3, 2),))
         assert sc.restrict_prefix(P, 2).blocks == ((1, 2),)
 
     def test_lengths_out_of_range(self):
@@ -202,8 +227,26 @@ def refined_on_the_line_graph(P):
     """refine_once by its definition: the general facet-to-vertex map on
     L_n, edge i as facet i - 1 and vertex k - 1 as integer k."""
     Q = sc.Partition("facets", tuple(tuple(e - 1 for e in block) for block in P.blocks))
-    V = sc.facet_to_vertex(sc.line_graph(P.n), Q)
-    return sc.PrefixPartition(P.n + 1, tuple(tuple(v + 1 for v in block) for block in V.blocks))
+    V = sc.facet_to_vertex(sc.line_graph(length(P)), Q)
+    return sc.Partition("integers", tuple(tuple(v + 1 for v in block) for block in V.blocks))
+
+
+def test_refine_once_is_the_bijection_on_scattered_prefix_partitions():
+    """The paper's natural-number bijection: refine_once maps the
+    s-scattered partitions of [1..n] into r blocks one-to-one onto the
+    (s + 1)-scattered partitions of [1..n + 1] into r + 1 blocks, both
+    enumerated as Partition values."""
+    count = 0
+    for n in range(1, 10):
+        for r in range(1, 5):
+            for s in range(1, 4):
+                images = [sc.refine_once(P) for P in
+                          oracle.enumerate_partitions(oracle.prefix_spec(n, r, s))]
+                family = list(oracle.enumerate_partitions(oracle.prefix_spec(n + 1, r + 1, s + 1)))
+                assert len(set(images)) == len(images) == len(family)
+                assert set(images) == set(family)
+                count += len(images)
+    assert count > 10 ** 4
 
 
 def test_refine_once_equals_the_map_on_every_small_prefix():
@@ -211,7 +254,6 @@ def test_refine_once_equals_the_map_on_every_small_prefix():
     for n in range(1, 9):
         for r in range(1, n + 1):
             for P in oracle.enumerate_partitions(oracle.prefix_spec(n, r, 1)):
-                P = sc.PrefixPartition(n, P.blocks)
                 assert sc.refine_once(P) == refined_on_the_line_graph(P)
                 count += 1
     assert count == sum(map(oracle.bell, range(1, 9))) == 5295
@@ -238,8 +280,8 @@ def test_refining_a_long_prefix_builds_no_sweep(monkeypatch):
     n = 10 ** 5
     P = prefix(n, *(range(r, n + 1, 3) for r in (1, 2, 3)))
     refined = sc.refine_once(P)
-    assert refined.n == n + 1 and refined.n_blocks == 4
-    assert refined.scatter() == P.scatter() + 1
+    assert length(refined) == n + 1 and refined.n_blocks == 4
+    assert min_gap(refined) == min_gap(P) + 1
     assert sc.check_colimit_compatibility(P, refined=refined)
 
 

@@ -416,6 +416,33 @@ class TestDistanceNeighborhood:
             contains = g.issubset(heptagon.facet_tuples[f])
             assert (sc.wall_distance(heptagon, f, g) == 1) == contains
 
+    def test_a_wall_through_two_hubs_reads_no_fan(self):
+        """The facets of a wall come from the ridge index.  On two fans of
+        1,000 triangles around a and b, joined by the triangle a b c, the
+        wall {a, b} lies on a b c alone, while a and b lie on 1,001
+        facets each: a scan of either one's facets reads 1,001 tuples."""
+        fan = 1000
+        facets = [["a", "b", "c"], ["a", "c", "x1"], ["b", "c", "y1"]]
+        facets += [["a", f"x{i}", f"x{i + 1}"] for i in range(1, fan)]
+        facets += [["b", f"y{i}", f"y{i + 1}"] for i in range(1, fan)]
+        X = sc.build_complex(facets)
+        g = frozenset(map(X.id_of, "ab"))
+        abc = facet(X, "a,b,c")
+        expected = sc.distance_neighborhood(X, g, 1)  # builds the tree and its graph
+        assert expected.facets == (abc,) and len(X.vertex_facets[X.id_of("a")]) == fan + 1
+
+        class Counting(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counting.reads += 1
+                return tuple.__getitem__(self, i)
+
+        X.facet_tuples = Counting(X.facet_tuples)
+        assert sc.distance_neighborhood(X, g, 1) == expected
+        assert sc.face_path(X, g, [X.id_of("x2")]).facets[0] == abc
+        assert Counting.reads < 50
+
     @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_matches_wall_distance_reference(self, d, n, seed):

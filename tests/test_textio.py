@@ -3,7 +3,7 @@ import random
 import pytest
 
 import stackedcx as sc
-from stackedcx import errors
+from stackedcx import errors, textio
 from stackedcx.generators import random_stacked
 from stackedcx.textio import (
     emit_complex,
@@ -16,7 +16,7 @@ from stackedcx.textio import (
     parse_vertex_partition,
 )
 
-from conftest import HEPTAGON_FACETS, fpart, vpart
+from conftest import HEPTAGON_FACETS, fpart, relabelled, vpart
 
 HEPTAGON_TEXT = "".join(line + "\n" for line in HEPTAGON_FACETS)
 
@@ -227,6 +227,107 @@ class TestRandomPartitionRoundTrips:
                 parsed = (parse_vertex_partition(text, X) if kind == "vertices"
                           else parse_facet_partition(text, X))
                 assert parsed == P
+
+
+def per_token_parse(text, X, kind):
+    """The partition a file gives, or the error it raises, with each token
+    resolved on its own as it reads: the reference the whole-line
+    resolution of the parsers is checked against."""
+    def resolve(tok, ln):
+        try:
+            return X.id_of(tok) if kind == "vertices" else X.facet_from_tokens(tok.split(","))
+        except errors.DuplicateVertexError as exc:
+            raise errors.UnknownTokenError(str(exc), line=ln) from None
+        except errors.InputError:
+            noun = "vertex" if kind == "vertices" else "facet"
+            raise errors.UnknownTokenError(f"unknown {noun} {tok!r}", line=ln) from None
+
+    size = X.n_vertices if kind == "vertices" else X.n_facets
+    owner, blocks = {}, []
+    for ln, tokens in textio._content_lines(text):
+        blocks.append([])
+        for tok in tokens:
+            e = resolve(tok, ln)
+            if e in owner:
+                raise errors.OverlapError(f"{tok!r} already in the block on line {owner[e]}",
+                                          line=ln)
+            owner[e] = ln
+            blocks[-1].append(e)
+    if len(owner) < size:
+        raise errors.MissingElementError(f"{size - len(owner)} {kind} not covered")
+    return sc.make_partition(kind, blocks, range(size))
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except errors.InputError as exc:
+        return type(exc), str(exc)
+
+
+def faulty_partition_text(X, kind, rng):
+    """A random partition file of X's vertices or facets, as tokens, with
+    a few random faults: unknown, repeated-vertex and wrong-size facets
+    and vertices, tokens repeated within or across lines, dropped tokens,
+    and facets written with their vertices in any order."""
+    size = X.n_vertices if kind == "vertices" else X.n_facets
+    lines: list[list[str]] = [[] for _ in range(rng.randint(1, 4))]
+    for e in rng.sample(range(size), size):
+        if kind == "vertices":
+            tok = X.token_of(e)
+        else:
+            vs = list(X.facet_tokens(e))
+            rng.shuffle(vs)
+            tok = ",".join(vs)
+        rng.choice(lines).append(tok)
+    labels = list(X.labels)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        line = rng.choice(lines)
+        at = rng.randint(0, len(line))
+        fault = rng.randrange(6)
+        if fault == 0 and line:  # drop an element
+            line.pop(rng.randrange(len(line)))
+        elif fault == 1:  # repeat one, on this line or another
+            source = [tok for ln in lines for tok in ln]
+            if source:
+                line.insert(at, rng.choice(source))
+        elif fault == 2:  # an unknown vertex
+            vs = rng.sample(labels, min(len(labels), 1 if kind == "vertices" else X.dim + 1))
+            vs[rng.randrange(len(vs))] = "zz"
+            line.insert(at, ",".join(vs))
+        elif fault == 3:  # a facet, or a wall, with a vertex repeated
+            vs = list(X.facet_tokens(rng.randrange(X.n_facets)))[:rng.choice((X.dim, X.dim + 1))]
+            vs.append(rng.choice(vs))
+            rng.shuffle(vs)
+            line.insert(at, ",".join(vs))
+        elif fault == 4:  # a vertex set of the wrong size, or no facet
+            k = rng.choice((1, X.dim, X.dim + 1, X.dim + 2))
+            line.insert(at, ",".join(rng.sample(labels, min(k, len(labels)))))
+        else:  # a facet in a vertex file, a vertex in a facet file
+            line.insert(at, ",".join(X.facet_tokens(rng.randrange(X.n_facets)))
+                        if kind == "vertices" else rng.choice(labels))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_whole_line_resolution_equals_the_per_token_resolver(seed):
+    """On random valid and faulty files over generated and relabelled
+    stackings, the parsers give the partition, or the error type and
+    message, that resolving token by token gives."""
+    rng = random.Random(seed)
+    errors_seen = set()
+    for trial in range(60):
+        X = random_stacked(1 + trial % 3, rng.randint(1, 12), rng.randrange(10 ** 6))
+        if trial % 2:
+            X = relabelled(X, trial)
+        for kind, parse in (("vertices", parse_vertex_partition),
+                            ("facets", parse_facet_partition)):
+            text = faulty_partition_text(X, kind, rng)
+            got = outcome(parse, text, X)
+            assert got == outcome(per_token_parse, text, X, kind), text
+            errors_seen.add(got[0] if isinstance(got, tuple) else sc.Partition)
+    assert errors_seen == {sc.Partition, errors.UnknownTokenError, errors.OverlapError,
+                           errors.MissingElementError}
 
 
 class TestDot:
