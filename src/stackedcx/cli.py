@@ -5,6 +5,7 @@ verification subcommand finds a property violation.
 """
 
 import argparse
+import gc
 import sys
 
 from .complexes import find_stacking_order, stacking_tree
@@ -73,10 +74,11 @@ def cmd_check(args) -> int:
     print(f"vertices={X.n_vertices}")
     print(f"stacked={'yes' if cert else 'no'}")
     if cert:
-        steps = [facet_token(X, cert.order[0])]
-        steps += [f"{X.token_of(cert.free_vertices[p - 1])}+{facet_token(X, cert.order[p])}"
-                  for p in range(1, X.n_facets)]
-        print("stacking: " + " ".join(steps))
+        label = X.labels.__getitem__
+        facets = (",".join(map(label, X.facet_tuples[i])) for i in cert.order)
+        first = next(facets)
+        steps = map("+".join, zip(map(label, cert.free_vertices), facets))
+        print("stacking: " + " ".join([first, *steps]))
         return 0
     if X.n_vertices != X.n_facets + X.dim:
         reason = (f"{X.n_vertices} vertices, but a stacking of {X.n_facets} "
@@ -148,6 +150,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_nat(args) -> int:
+    if args.steps < 0:  # before the pattern is read
+        raise InputError("steps must be >= 0")
     P = parse_prefix_partition(_read(args.pattern), args.n)
     refined = refine_once(P) if args.steps > 0 else None
     result = (refine_iter(P, args.steps) if refined is None
@@ -301,6 +305,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # A one-shot process: the containers a command builds in bulk hold no
+    # reference cycles, so the cyclic collector's passes over them, one
+    # per 700 allocations, would free nothing.
+    gc.disable()
     raise SystemExit(main())
 
 

@@ -6,9 +6,10 @@ original string tokens are kept for display and text round trips.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import wraps
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,6 +32,22 @@ def token_sort_key(token: str) -> tuple:
         digits = token.lstrip("0")
         return (0, len(digits), digits, token)
     return (1, token)
+
+
+def _token_order(tokens: Iterable[str]) -> tuple[str, ...]:
+    """The distinct tokens sorted by :func:`token_sort_key`, without a key
+    call per token when it is not needed.  In lexicographic order the
+    tokens that start with an ASCII digit form one run; when the run is
+    all digits and no token in it but "0" starts with "0", a shorter token
+    has the smaller value and tokens of one length compare as strings, so
+    a stable sort of the run by length orders it."""
+    lex = sorted(set(tokens))
+    lo, hi = bisect_left(lex, "0"), bisect_left(lex, ":")  # ":" follows "9"
+    digits = lex[lo:hi]
+    zeros = lex[lo:bisect_left(lex, "1")]  # the tokens that start with "0"
+    if zeros not in ([], ["0"]) or digits and not _NUMERIC.match("".join(digits)):
+        return tuple(sorted(lex, key=token_sort_key))
+    return (*sorted(digits, key=len), *lex[:lo], *lex[hi:])
 
 
 def derived(build):
@@ -174,7 +191,7 @@ def _validated(rows: Sequence[Sequence[str]], positions: Sequence[int],
     size other than the first row's, or repeats an earlier row."""
     if not rows:
         raise EmptyInputError("no facets in input")
-    labels = tuple(sorted({tok for tokens in rows for tok in tokens}, key=token_sort_key))
+    labels = _token_order(chain.from_iterable(rows))
     ids = {tok: i for i, tok in enumerate(labels)}.__getitem__
     facets = [tuple(sorted(map(ids, tokens))) for tokens in rows]
     size = len(facets[0])

@@ -22,6 +22,7 @@ element's earlier close elements are pairwise close, so they sit in
 distinct blocks whatever the vertex labels.
 """
 
+import gc
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -296,10 +297,25 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     forward and then the reverse pass, in the order of
     :func:`enumerate_partitions`.  A complex of more than ``MAX_EXACT``
     facets raises OutOfRangeError before anything is enumerated.
+
+    The passes allocate a tuple or list per string and form no reference
+    cycle, so the cyclic collector, whose passes over them would free
+    nothing, is paused while they run; the caller's setting is restored
+    when they return or raise.
     """
     if r < 1 or s < 1:
         raise InputError("r and s must be >= 1")
     _check_exact_range(X.n_facets)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _verify(X, r, s)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     left_firsts: list[int] = []  # where each string first changes
     right_firsts: list[int] = []
     left = list(_growth_strings(facet_spec(X, r, s), certificate_order(X, "facets"),

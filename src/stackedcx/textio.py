@@ -122,6 +122,8 @@ def parse_facet_partition(text: str, X: SimplicialComplex) -> Partition:
 
 
 def parse_prefix_partition(text: str, n: int) -> Partition:
+    if n < 1:
+        raise InputError("prefix length must be >= 1")
     width = len(str(n))
 
     def line(tokens: list[str]) -> list[int]:
@@ -140,10 +142,7 @@ def parse_prefix_partition(text: str, n: int) -> Partition:
             raise UnknownTokenError(f"token {tok!r} outside [1..{n}]", line=ln)
         return int(digits)
 
-    blocks = _parse_blocks(text, line, token, n, "integers")
-    if n < 1:
-        raise InputError("prefix length must be >= 1")
-    return Partition("integers", blocks)
+    return Partition("integers", _parse_blocks(text, line, token, n, "integers"))
 
 
 def _block_tokens(X: SimplicialComplex | None, P: Partition) -> list[list[str]]:

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import subprocess
@@ -353,6 +354,21 @@ class TestNat:
         assert code == 0 and out.splitlines()[1] == "colimit=ok"
         assert sorted(calls) == [4, 5]
 
+    def test_prefix_length_is_checked_before_the_pattern(self, capsys, tmp_path):
+        pattern = tmp_path / "p.part"
+        pattern.write_text("1 3 5\n2 4\n")
+        code, out, err = run(capsys, "nat", "--pattern", str(pattern), "-n", "-3")
+        assert (code, out, err) == (1, "", "error: prefix length must be >= 1\n")
+
+    @pytest.mark.parametrize("text", ["1 3 5\n2 4\n", "1 3 x\n2 2\n", ""],
+                             ids=["valid", "malformed", "empty"])
+    def test_steps_are_checked_before_the_pattern(self, capsys, tmp_path, text):
+        pattern = tmp_path / "p.part"
+        pattern.write_text(text)
+        code, out, err = run(capsys, "nat", "--pattern", str(pattern),
+                             "-n", "5", "--steps", "-1")
+        assert (code, out, err) == (1, "", "error: steps must be >= 0\n")
+
     def test_zero_steps(self, capsys, tmp_path):
         pattern = tmp_path / "p.part"
         pattern.write_text("1 3\n2\n")
@@ -508,6 +524,19 @@ class TestModuleEntry:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0
         assert "stacked=yes" in done.stdout.splitlines()
+
+    def test_entry_runs_without_the_cyclic_collector(self, monkeypatch):
+        # entry() serves one-shot processes; cli.main leaves the collector alone
+        during = []
+        monkeypatch.setattr(cli, "main", lambda: during.append(gc.isenabled()) or 0)
+        collecting = gc.isenabled()
+        try:
+            gc.enable()
+            with pytest.raises(SystemExit) as exit_:
+                cli.entry()
+        finally:
+            (gc.enable if collecting else gc.disable)()
+        assert (during, exit_.value.code) == ([False], 0)
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ import stackedcx as sc
 from stackedcx.complexes import (
     SimplicialComplex,
     StackingTree,
+    _token_order,
     complex_from_ids,
     find_stacking_order,
     replay_stacking_order,
@@ -162,3 +163,27 @@ def test_numeric_tokens_are_ordered_by_value_and_then_as_text():
     big = "9" * 5000  # past the digits int() converts
     assert sorted([big, "0" + big, "1" + big[1:] + "0", "7"], key=token_sort_key) == [
         "7", "0" + big, big, "1" + big[1:] + "0"]
+
+
+def test_token_order_equals_the_sort_key_order():
+    """The label order sorts by length alone when every token that starts
+    with an ASCII digit is a number without leading zeros, and by
+    token_sort_key otherwise; on random sets of plain numbers, zeros,
+    non-ASCII digits, letters and 5,000-digit numbers both must give the
+    order of token_sort_key."""
+    rng = random.Random(11)
+    big = ["9" * 5000, "1" + "0" * 4999, "1" + "0" * 4998 + "1", "8" * 4999]
+    kinds = [
+        lambda: str(rng.randrange(1, 10 ** rng.randrange(1, 8))),
+        lambda: rng.choice(["0", "00", "007"]),
+        lambda: rng.choice(["\u0661\u0662", "\u00b2", "1\u00b2"]),  # Arabic-Indic 12, superscript 2
+        lambda: "".join(rng.choices("abcXYZ", k=rng.randrange(1, 4))),
+        lambda: rng.choice(big),
+    ]
+    by_length = 0
+    for _ in range(400):
+        chosen = rng.sample(kinds, rng.randrange(1, len(kinds) + 1))
+        tokens = [rng.choice(chosen)() for _ in range(rng.randrange(1, 40))]
+        assert _token_order(tokens) == tuple(sorted(set(tokens), key=token_sort_key))
+        by_length += not any(t in ("00", "007", "1\u00b2") for t in tokens)
+    assert 0 < by_length < 400  # both orders ran

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import time
@@ -492,6 +493,43 @@ class TestLeanCore:
         report = oracle.verify_bijection(heptagon, 2, 2)
         assert (report.image_mismatches, len(report.counterexamples)) == (14, 3)
         assert built == [P.blocks for _, P in report.counterexamples]
+
+
+class TestCollectorPause:
+    """verify_bijection pauses the cyclic collector while its passes run
+    and leaves it as the caller had it, also when a pass raises."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    def test_the_collector_is_left_as_found(self, heptagon, monkeypatch, collecting):
+        during = []
+        real = oracle.facet_to_vertex_strings
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "facet_to_vertex_strings", recording)
+        (gc.enable if collecting else gc.disable)()
+        report = oracle.verify_bijection(heptagon, 2, 1)
+        assert gc.isenabled() is collecting
+        assert during == [False]
+        assert report == reference_verify(heptagon, 2, 1)
+
+    def test_a_pass_that_raises_restores_the_collector(self, heptagon, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("pass failed")
+
+        monkeypatch.setattr(oracle, "facet_to_vertex_strings", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="pass failed"):
+            oracle.verify_bijection(heptagon, 2, 1)
+        assert gc.isenabled()
 
 
 # verify_bijection and census enumerate in certificate order, the order in
