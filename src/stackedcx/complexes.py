@@ -138,11 +138,13 @@ class SimplicialComplex:
     def codim1_faces(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Every codimension-one face, a sorted id tuple, mapped to the
         facets containing it."""
-        index: dict[tuple[int, ...], list[int]] = {}
+        index: dict = {}
         for i, facet in enumerate(self.facet_tuples):
             for face in combinations(facet, self.dim):
                 index.setdefault(face, []).append(i)
-        return {face: tuple(fs) for face, fs in index.items()}
+        for face, fs in index.items():  # in place: no second dict
+            index[face] = tuple(fs)
+        return index
 
     @property
     @derived

@@ -32,6 +32,7 @@ from .errors import InputError, OutOfRangeError
 from .partitions import (
     GroundKind,
     Partition,
+    _independent,
     certificate_order,
     facet_to_vertex_strings,
     vertex_to_facet_strings,
@@ -286,13 +287,13 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     counted string by string only when some image misses the family or
     fails to map back.
 
-    v2f needs independent blocks.  A member of a vertex family whose
-    scatter is at least 2 (here s + 1 >= 2) has them: two vertices of one
-    facet are at distance 1, so no block holds both.  v2f therefore
-    trusts the vertex family, skipping its independence test on the
-    reverse pass's partitions and the forward images found in the family,
-    and runs it on any other image; an image that is not a partition into
-    independent sets maps to None and does not round-trip.
+    v2f is defined only on partitions into independent blocks, and the
+    string maps test nothing: the verifier decides.  A member of a vertex
+    family whose scatter is at least 2 (here s + 1 >= 2) has them: two
+    vertices of one facet are at distance 1, so no block holds both.  So
+    the reverse pass maps the vertex family as it is, and only a forward
+    image outside the family is tested: one whose blocks are not
+    independent does not round-trip, whatever labels v2f gives it.
     Counterexamples are (reason, partition) pairs, the first three of the
     forward and then the reverse pass, in the order of
     :func:`enumerate_partitions`.  A complex of more than ``MAX_EXACT``
@@ -335,19 +336,20 @@ def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         notes.append((kind == "vertices", a, reason, kind))
 
     images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
-    backs, _ = vertex_to_facet_strings(X, images, image_firsts, trusted=right_set)
+    backs, _ = vertex_to_facet_strings(X, images, image_firsts)
     if backs != left or not right_set.issuperset(images):
         for a, image, back in zip(left, images, backs):
-            if image not in right_set:
+            outside = image not in right_set
+            if outside:
                 mismatches += 1
                 note("facet partition whose image is not in the vertex family", "facets", a)
-            if back != a:
+            if back != a or outside and not _independent(X, image):
                 round_trips += 1
                 note("facet partition that does not round-trip", "facets", a)
     if mismatches or round_trips or len(right_set) != len(left):
         left_set = set(left)
         forward = dict(zip(left, images))
-        preimages, _ = vertex_to_facet_strings(X, right, right_firsts, trusted=right_set)
+        preimages, _ = vertex_to_facet_strings(X, right, right_firsts)
         for b, preimage in zip(right, preimages):
             if preimage not in left_set:
                 mismatches += 1

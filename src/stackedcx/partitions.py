@@ -25,19 +25,22 @@ of the nearest ancestor facet in the right block.  So a class is numbered
 when its first member is placed, and the labels are a string in
 certificate form: entry e is the block of element e, blocks numbered in
 the order their first member appears along :func:`certificate_order`.
-The public maps run the pass on one partition and group its labels into
-canonical blocks.  The string maps, which :func:`oracle.verify_bijection`
-runs, take strings with lower bounds on where each first differs from the
-one before, and return the labels as they are with such bounds: the pass
-resumes each string at the first step its change can reach, so a family
-walked in certificate order costs little more than the steps that differ
-between neighbours.
+The public maps validate one partition, run the pass on it and group its
+labels into canonical blocks; :func:`vertex_to_facet` refuses a partition
+whose blocks are not independent.  The string maps, which
+:func:`oracle.verify_bijection` runs, are the bare kernel: they trust
+their strings and validate nothing, so deciding independence is the
+caller's.  They take strings with lower bounds on where each first
+differs from the one before, and return the labels as they are with such
+bounds: the pass resumes each string at the first step its change can
+reach, so a family walked in certificate order costs little more than the
+steps that differ between neighbours.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import combinations, repeat
 from operator import eq
-from typing import Container, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .complexes import SimplicialComplex, derived, stacking_tree
 from .errors import InputError, NotAPartitionError, NotIndependentError
@@ -357,24 +360,14 @@ def facet_to_vertex_strings(X: SimplicialComplex, strings: Sequence[tuple[int, .
 
 
 def vertex_to_facet_strings(X: SimplicialComplex, strings: Sequence[tuple[int, ...]],
-                            firsts: Sequence[int] | None = None, *,
-                            trusted: Container[tuple[int, ...]] = frozenset()
-                            ) -> tuple[list[tuple[int, ...] | None], list[int]]:
+                            firsts: Sequence[int] | None = None
+                            ) -> tuple[list[tuple[int, ...]], list[int]]:
     """:func:`vertex_to_facet` on a sequence of strings, as
-    :func:`facet_to_vertex_strings`.  A string whose blocks are not
-    independent maps to None, with bound 0; the test is skipped on strings
-    in ``trusted``, which the caller knows to be independent.  The bounds
-    of the others, in and out, compare each with the last one kept."""
-    independent = [a in trusted or _independent(X, a) for a in strings]
-    if all(independent):
-        return _labels(X, "facets", strings, firsts)
-    firsts = [0] * len(strings) if firsts is None else firsts
-    kept = list(compress(range(len(strings)), independent))
-    # the least bound over a kept string and those dropped just before it
-    lows = [min(firsts[u + 1:t + 1]) for u, t in zip([-1, *kept], kept)]
-    labels, ends = map(iter, _labels(X, "facets", [strings[t] for t in kept], lows))
-    return ([next(labels) if ok else None for ok in independent],
-            [next(ends) if ok else 0 for ok in independent])
+    :func:`facet_to_vertex_strings`: ``a[v]`` is the block of vertex v.
+    The strings are trusted, not validated: a string whose blocks are not
+    independent, which :func:`vertex_to_facet` refuses, gets the kernel's
+    labels all the same."""
+    return _labels(X, "facets", strings, firsts)
 
 
 @dataclass(frozen=True)

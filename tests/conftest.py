@@ -107,7 +107,7 @@ def inject(patch, name, fault):
         except NotIndependentError:
             return None
 
-    def on_strings(X, strings, firsts=None, **_):
+    def on_strings(X, strings, firsts=None):
         return [on_string(X, a) for a in strings], [0] * len(strings)
     patch.setattr(oracle, string_name, on_strings)
 

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from itertools import combinations
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -588,16 +589,12 @@ def verify_families(X, r, s):
 
 def first_changes(strings, order):
     """Reference scan: each string's first position along ``order`` where it
-    differs from the last string before it that is not None (len(order)
-    when equal); 0 for None and for the first string that is not None."""
-    out, previous = [], None
-    for a in strings:
-        if a is None or previous is None:
-            out.append(0)
-        else:
-            out.append(next((i for i, e in enumerate(order) if a[e] != previous[e]),
-                            len(order)))
-        previous = previous if a is None else a
+    differs from the string before it (len(order) when equal); 0 for the
+    first string."""
+    out = [0] if strings else []
+    for previous, a in zip(strings, strings[1:]):
+        out.append(next((i for i, e in enumerate(order) if a[e] != previous[e]),
+                        len(order)))
     return out
 
 
@@ -678,9 +675,15 @@ class TestCertificateOrder:
         assert count == 1 and lines <= cap
 
 
-def one_at_a_time(string_map, X, strings, **options):
+def one_at_a_time(string_map, X, strings):
     """The sequence map's results called on one string at a time: no resume."""
-    return [string_map(X, [a], **options)[0][0] for a in strings]
+    return [string_map(X, [a])[0][0] for a in strings]
+
+
+def resume_corpus():
+    """Fixed 7-facet stackings, d = 1..3, each as generated and relabelled."""
+    complexes = [random_stacked(d, 7, seed) for d in (1, 2, 3) for seed in range(5)]
+    return complexes + [relabelled(X, 1) for X in complexes]
 
 
 def renumbered(a, rng):
@@ -751,7 +754,9 @@ class TestSequenceMaps:
 
     @given(both_labellings, st.randoms())
     @settings(max_examples=40, deadline=None)
-    def test_dependent_strings_with_and_without_trust(self, pair, rng):
+    def test_dependent_strings_resume_as_one_string_calls(self, pair, rng):
+        # v2f's kernel trusts its strings: on random vertex strings, most of
+        # them not independent, resumed calls give what one-string calls give
         for X in pair:
             facet_order, vertex_order = (certificate_order(X, kind)
                                          for kind in ("facets", "vertices"))
@@ -759,21 +764,31 @@ class TestSequenceMaps:
             strings = [tuple(rng.randrange(parts) for _ in range(X.n_vertices))
                        for _ in range(12)]
             strings += rng.choices(strings, k=4)
-            dependent = [any(len({a[v] for v in f}) < len(f) for f in X.facet_tuples)
-                         for a in strings]
-            trusted = set(rng.sample(strings, len(strings) // 2))
+            expected = one_at_a_time(vertex_to_facet_strings, X, strings)
             for firsts in (None, *position_kinds(strings, vertex_order, rng)):
                 got, got_firsts = vertex_to_facet_strings(X, strings, firsts)
-                assert got == one_at_a_time(vertex_to_facet_strings, X, strings)
-                assert [image is None for image in got] == dependent
-                assert bounds_hold(got, got_firsts, facet_order)
-                got, got_firsts = vertex_to_facet_strings(X, strings, firsts,
-                                                          trusted=trusted)
-                assert got == one_at_a_time(vertex_to_facet_strings, X, strings,
-                                            trusted=trusted)
-                assert [image is None for image in got] == \
-                    [bad and a not in trusted for a, bad in zip(strings, dependent)]
-                assert bounds_hold(got, got_firsts, facet_order)
+                assert got == expected and bounds_hold(got, got_firsts, facet_order)
+
+    def test_short_calls_match_one_string_calls_on_a_fixed_corpus(self):
+        # deterministic: each consecutive pair of both verify families, with
+        # the walk's bound and with a zero bound, and each run of three,
+        # with the walk's bounds, against one-string calls
+        for X in resume_corpus():
+            orders = [certificate_order(X, kind) for kind in ("vertices", "facets")]
+            for r, s in ((2, 1), (3, 1), (2, 2)):
+                for (strings, firsts), string_map, order in zip(
+                        verify_families(X, r, s),
+                        (facet_to_vertex_strings, vertex_to_facet_strings), orders):
+                    expected = one_at_a_time(string_map, X, strings)
+                    exact = first_changes(expected, order)
+                    for t in range(1, len(strings)):
+                        for u, bounds in ((t - 1, [0, firsts[t]]), (t - 1, [0, 0]),
+                                          (t - 2, [0, *firsts[t - 1:t + 1]])):
+                            if u >= 0:
+                                got, ends = string_map(X, strings[u:t + 1], bounds)
+                                assert got == expected[u:t + 1]
+                                assert ends[0] == 0
+                                assert all(map(le, ends[1:], exact[u + 1:t + 1]))
 
     def test_resuming_runs_at_most_a_third_of_the_kernel_lines(self):
         # the verify families of one stacking, mapped as verify_bijection
