@@ -8,13 +8,17 @@ A partition is held as a string: entry i is the block of the i-th element
 of the sorted ground set, blocks numbered 0, 1, ... in the order their
 first member is placed (Knuth, TAOCP 4A §7.2.1.5, restricted-growth
 strings).  One walk, :func:`_prefixes`, places every element of the order
-it is given but the last, and two consumers finish each placement:
-:func:`_growth_strings` expands the last element into the strings of one
-part number, for enumeration and verification, and :func:`census`, whose
-walk stops one element earlier, puts the second-to-last element in each
-admissible block and counts the admissible blocks of the last for every
-part number at once.  :func:`enumerate_partitions` places elements in id
-order; :func:`verify_bijection` and :func:`census` place them in
+it is given but the last, and its consumers finish each placement for
+three uses.  :func:`_chunks` expands the last element into the strings of
+one part number, in lists of at most ``CHUNK``: :func:`_growth_strings`
+flattens them for enumeration, and :func:`verify_bijection` maps them a
+list at a time.  :func:`_counts`, whose walk stops one element earlier,
+puts the second-to-last element in each admissible block and counts the
+admissible blocks of the last for every part number at once, for
+:func:`census` and for the size of the vertex family in
+:func:`verify_bijection`, which never builds that family's strings
+unless a check has failed.  :func:`enumerate_partitions` places elements
+in id order; :func:`verify_bijection` and :func:`census` place them in
 :func:`partitions.certificate_order`, as the string maps do, so
 enumerated strings and images compare as tuples.  That order is a perfect
 elimination order of the scatter graph (Rose, Tarjan & Lueker 1976): an
@@ -24,10 +28,11 @@ distinct blocks whatever the vertex labels.
 
 import gc
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import paths
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, derived
 from .errors import InputError, OutOfRangeError
 from .partitions import (
     GroundKind,
@@ -181,35 +186,147 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
             i += 1
 
 
-def _growth_strings(spec: EnumerationSpec, order: Sequence[int] | None = None,
-                    firsts: list[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """The string of every partition of the sorted ground set into exactly
-    ``parts`` blocks, each ``scatter``-scattered, once each: each placement
-    of :func:`_prefixes` with the last position put in each admissible
-    block.  Positions are placed in ``order`` (by default 0, 1, ...), and
-    the strings come in lexicographic order of their entries read along
-    ``order``.
+# The most strings a family is held at once: verify keeps one list of
+# each kind per pass, whatever the family's size.
+CHUNK = 1 << 14
 
-    A list ``firsts`` gets where each string first differs from the one
-    before along ``order``: 0 for the first, the walk's least ``lo`` since
-    the last string for the first on a new placement, else the last.
+
+def _chunks(spec: EnumerationSpec, order: Sequence[int]
+            ) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+    """The string of every partition of the sorted ground set into exactly
+    ``parts`` blocks, each ``scatter``-scattered, once each, in lists of
+    at most ``CHUNK``: each placement of :func:`_prefixes` with the last
+    position of ``order`` put in each admissible block.  The strings come
+    in lexicographic order of their entries read along ``order``.
+
+    Each list comes with where each string first differs from the one
+    before along ``order``: 0 for the first of the family, the walk's
+    least ``lo`` since the last string for the first on a new placement,
+    else the last position.
     """
-    r = spec.parts
-    order = list(range(len(spec.ground))) if order is None else order
+    r, size = spec.parts, CHUNK
     last = len(order) - 1
+    strings: list[tuple[int, ...]] = []
+    firsts: list[int] = []
     first = 0  # the least position changed since the last string
     for slot, masks, k, closer, lo in _prefixes(spec, order, r):
         e = order[-1]
-        first = min(first, lo)
+        if lo < first:
+            first = lo
         # k == r - 1: the last element opens the missing block, whose mask is 0
         for b in range(k) if k == r else (k,):
             if not closer & masks[b]:
                 slot[e] = b
-                if firsts is not None:
-                    firsts.append(first)
+                strings.append(tuple(slot))
+                firsts.append(first)
                 first = last
-                yield tuple(slot)
+                if len(strings) == size:
+                    yield strings, firsts
+                    strings, firsts = [], []
         slot[e] = -1
+    if strings:
+        yield strings, firsts
+
+
+def _growth_strings(spec: EnumerationSpec,
+                    order: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """The strings of :func:`_chunks` one by one, positions placed in
+    ``order`` (by default 0, 1, ...)."""
+    order = list(range(len(spec.ground))) if order is None else order
+    for strings, _ in _chunks(spec, order):
+        yield from strings
+
+
+def _counts(spec: EnumerationSpec, order: Sequence[int]) -> list[int]:
+    """For each part number 0, 1, ..., ``parts``, how many strings
+    :func:`_growth_strings` yields in ``order``, which must cover the
+    ground, with no string built.
+
+    One walk of :func:`_prefixes` places every position but the last two,
+    a and then b.  Each partition is one placement the walk yields, one
+    admissible block for a and one for b, and is counted once: a goes into
+    each open block its close mask misses and into a new one, leaving k'
+    blocks; then the k' blocks that hold none of b's close positions, a
+    included, add to the count of k', and a new block to that of k' + 1.
+    Counts past ``parts`` are made and dropped, so a new block is always
+    admissible and the walk has no dead ends.
+    """
+    r = spec.parts
+    counts = [0] * (r + 3)
+    if len(order) < 2:  # no walk: the one string of 0 or 1 positions
+        counts[len(order)] = 1
+        return counts[:r + 1]
+    a, b = order[-2:]
+    a_near_b = a in spec.near[b]
+    near_b = [v for v in spec.near[b] if v != a]  # placed by the walk
+    for slot, masks, k, closer, _ in _prefixes(spec, order[:-1], 1):
+        held = {slot[v] for v in near_b}
+        free = k - len(held)  # open blocks b may join unless a is in them
+        for beta in range(k):
+            if not closer & masks[beta]:
+                counts[k] += free - (a_near_b and beta not in held)
+                counts[k + 1] += 1
+        counts[k + 1] += free + 1 - a_near_b  # a opens block k
+        counts[k + 2] += 1
+    return counts[:r + 1]
+
+
+@derived
+def _close_getters(X: SimplicialComplex, kind: GroundKind,
+                   scatter: int) -> tuple[list[int], list[itemgetter | None]]:
+    """The certificate order of ``kind`` and, per step, a getter of the
+    blocks of its element and of the elements closer to it than
+    ``scatter``, or None when there are none: the tables of
+    :func:`_misses`, built once per complex, kind and scatter from
+    :func:`paths.near`, as the specs' ``near`` is."""
+    order = certificate_order(X, kind)
+    near = paths.near(X, kind, scatter)
+    return order, [itemgetter(e, *near[e]) if near[e] else None for e in order]
+
+
+def _misses(X: SimplicialComplex, spec: EnumerationSpec, strings: Sequence,
+            firsts: Sequence[int]) -> list[int]:
+    """The indices of the strings outside the family of ``spec``, a facet
+    or vertex spec of X, tested by its definition: a string is in it when
+    it is a tuple of the ground's length, a restricted-growth string along
+    :func:`partitions.certificate_order`, with exactly ``parts`` blocks,
+    and no element shares a block with an earlier one closer than
+    ``scatter``.  Anything else is outside; nothing raises.
+
+    ``firsts`` holds lower bounds on where each string first differs from
+    the one before along the order, as the string maps return them.  A
+    string is tested from its bound, or from where the one before failed
+    if that is earlier; the first from 0.  Each step tests its element
+    against all its close elements, later ones included: a pair with an
+    end at or past the bound is tested again at that end, and one with
+    both ends before it holds as it did in the string before.  A new
+    block has no earlier member, and any later one is tested at its own
+    step, so only an element that joins an open block is tested.
+    """
+    order, close = _close_getters(X, spec.kind, spec.scatter)
+    n, r = len(order), spec.parts
+    opened = [0] * (n + 1)  # per step: blocks opened before it in the last string
+    passed = 0  # the steps the last string passed
+    out = []
+    for t, (a, first) in enumerate(zip(strings, firsts)):
+        if type(a) is not tuple or len(a) != n:
+            out.append(t)
+            passed = 0
+            continue
+        i = first if first < passed else passed
+        m = opened[i]
+        while i < n:
+            x = a[order[i]]
+            if x == m:
+                m += 1
+            elif not 0 <= x < m or close[i] and close[i](a).count(x) > 1:
+                break
+            i += 1
+            opened[i] = m
+        passed = i
+        if i < n or m != r:
+            out.append(t)
+    return out
 
 
 def _partition(kind: GroundKind, ground: Iterable[int], a: tuple[int, ...]) -> Partition:
@@ -270,22 +387,28 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     equal tuples.  :class:`Partition` objects are built only for the
     counterexamples.
 
-    The forward pass maps every facet partition Q to the vertex family and
-    back.  When no image misses the vertex family, every Q round-trips and
-    the vertex family is as large as the facet family, f2v is injective
-    (v2f after f2v is the identity) into a family of the same size, so it
-    is onto: every vertex partition is an image whose preimage is in the
-    facet family and maps back to it, and the reverse pass could only count
-    0 mismatches and 0 round-trip failures.  It is skipped then, and run in
-    every other case, so a failing report keeps its exact counts and
-    counterexamples.
+    Neither family is held whole.  The forward pass walks the facet family
+    in lists of at most ``CHUNK`` strings, as :func:`_chunks` yields them.
+    It maps each list through f2v and the images back through v2f, and it
+    tests each image against the vertex family's definition
+    (:func:`_misses`).  The vertex family's size comes from
+    :func:`_counts`, which builds no string.  When no image misses the
+    vertex family, every Q round-trips and the two families are the same
+    size, f2v is injective (v2f after f2v is the identity) into a family
+    of the same size, so it is onto: every vertex partition is an image
+    whose preimage is in the facet family and maps back to it, and the
+    reverse pass could only count 0 mismatches and 0 round-trip failures.
+    It is skipped then, and run in every other case, so a failing report
+    keeps its exact counts and counterexamples.  It walks the vertex
+    family in lists the same way, maps each through v2f, tests each
+    preimage against the facet family's definition and maps the preimages
+    inside it through f2v, to compare with the list.
 
-    Each pass maps its whole family through one call of a string map,
-    which resumes each string where it first changes, as the walk or f2v
-    reports: f2v over the facet family, v2f over its images and, when the
-    reverse pass runs, v2f over the vertex family.  Forward failures are
-    counted string by string only when some image misses the family or
-    fails to map back.
+    Each string map call takes one list and resumes each string where it
+    first changes, as the walk or the map before reports; the first string
+    of each list starts from step 0.  The definition test resumes the same
+    way.  Forward failures are counted string by string only when some
+    image in the list misses the family or fails to map back.
 
     v2f is defined only on partitions into independent blocks, and the
     string maps test nothing: the verifier decides.  A member of a vertex
@@ -296,8 +419,9 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     independent does not round-trip, whatever labels v2f gives it.
     Counterexamples are (reason, partition) pairs, the first three of the
     forward and then the reverse pass, in the order of
-    :func:`enumerate_partitions`.  A complex of more than ``MAX_EXACT``
-    facets raises OutOfRangeError before anything is enumerated.
+    :func:`enumerate_partitions`; the passes keep only the first three
+    found so far.  A complex of more than ``MAX_EXACT`` facets raises
+    OutOfRangeError before anything is enumerated.
 
     The passes allocate a tuple or list per string and form no reference
     cycle, so the cyclic collector, whose passes over them would free
@@ -317,53 +441,61 @@ def verify_bijection(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
 
 
 def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
-    left_firsts: list[int] = []  # where each string first changes
-    right_firsts: list[int] = []
-    left = list(_growth_strings(facet_spec(X, r, s), certificate_order(X, "facets"),
-                                left_firsts))
-    vertex_family = vertex_spec(X, r + X.dim, s + 1)
-    right = list(_growth_strings(vertex_family, certificate_order(X, "vertices"),
-                                 right_firsts))
-    right_set = set(right)
-
-    round_trips = 0
-    mismatches = 0
-    notes: list[tuple[bool, tuple[int, ...], str, GroundKind]] = []
+    facets, vertices = facet_spec(X, r, s), vertex_spec(X, r + X.dim, s + 1)
+    facet_order = certificate_order(X, "facets")
+    vertex_order = certificate_order(X, "vertices")
+    left_count = round_trips = mismatches = 0
+    notes: list[tuple[bool, tuple[int, ...], int, str, GroundKind]] = []
 
     def note(reason: str, kind: GroundKind, a: tuple[int, ...]) -> None:
         first: dict[int, int] = {}  # a with its blocks numbered in id order
         a = tuple([first.setdefault(x, len(first)) for x in a])
-        notes.append((kind == "vertices", a, reason, kind))
+        # the noting order breaks ties: one partition's notes keep theirs
+        notes.append((kind == "vertices", a, mismatches + round_trips, reason, kind))
+        if len(notes) > 3:
+            notes.remove(max(notes))
 
-    images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
-    backs, _ = vertex_to_facet_strings(X, images, image_firsts)
-    if backs != left or not right_set.issuperset(images):
-        for a, image, back in zip(left, images, backs):
-            outside = image not in right_set
-            if outside:
-                mismatches += 1
-                note("facet partition whose image is not in the vertex family", "facets", a)
-            if back != a or outside and not _independent(X, image):
-                round_trips += 1
-                note("facet partition that does not round-trip", "facets", a)
-    if mismatches or round_trips or len(right_set) != len(left):
-        left_set = set(left)
-        forward = dict(zip(left, images))
-        preimages, _ = vertex_to_facet_strings(X, right, right_firsts)
-        for b, preimage in zip(right, preimages):
-            if preimage not in left_set:
+    for left, left_firsts in _chunks(facets, facet_order):
+        left_count += len(left)
+        images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
+        backs, _ = vertex_to_facet_strings(X, images, image_firsts)
+        outside = _misses(X, vertices, images, image_firsts)
+        if backs != left or outside:
+            outside = set(outside)
+            for t, (a, image, back) in enumerate(zip(left, images, backs)):
+                missed = t in outside
+                if missed:
+                    mismatches += 1
+                    note("facet partition whose image is not in the vertex family",
+                         "facets", a)
+                if back != a or missed and not _independent(X, image):
+                    round_trips += 1
+                    note("facet partition that does not round-trip", "facets", a)
+    right_count = _counts(vertices, vertex_order)[vertices.parts]
+    if mismatches or round_trips or right_count != left_count:
+        for right, right_firsts in _chunks(vertices, vertex_order):
+            preimages, preimage_firsts = vertex_to_facet_strings(X, right, right_firsts)
+            misses = _misses(X, facets, preimages, preimage_firsts)
+            for t in misses:
                 mismatches += 1
                 note("vertex partition whose image is not in the facet family",
-                     "vertices", b)
-            elif forward[preimage] != b:
-                round_trips += 1
-                note("vertex partition that does not round-trip", "vertices", b)
-    notes.sort(key=lambda t: t[:2])  # stable: one partition's notes keep their order
+                     "vertices", right[t])
+            # f2v over the preimages in the facet family, each from step 0
+            # when some are left out, as their bounds then may not hold
+            outside = set(misses)
+            kept = [t for t in range(len(right)) if t not in outside]
+            forward, _ = facet_to_vertex_strings(X, [preimages[t] for t in kept],
+                                                 None if misses else preimage_firsts)
+            for t, image in zip(kept, forward):
+                if image != right[t]:
+                    round_trips += 1
+                    note("vertex partition that does not round-trip", "vertices", right[t])
+    notes.sort()
     examples = tuple((reason, _partition(kind, range(len(a)), a))
-                     for _, a, reason, kind in notes[:3])
+                     for _, a, _, reason, kind in notes)
 
     return BijectionReport(parts=r, scatter=s, dim=X.dim,
-                           left_count=len(left), right_count=len(right),
+                           left_count=left_count, right_count=right_count,
                            round_trip_failures=round_trips,
                            image_mismatches=mismatches,
                            counterexamples=examples)
@@ -410,34 +542,14 @@ def census(X: SimplicialComplex) -> CensusReport:
     number.  A complex of more than ``MAX_EXACT`` facets raises
     OutOfRangeError before anything is counted.
 
-    This is still the brute-force oracle: one walk of :func:`_prefixes`
-    over every block count at once, with no recurrence, memo or closed
-    form.  The walk places every vertex of the certificate order but the
-    last two, a and then b.  Each partition is one placement the walk
-    yields, one admissible block for a and one for b, and is counted
-    once: a goes into each open block its close mask misses and into a
-    new one, leaving k' blocks; then the k' blocks that hold none of b's
-    close vertices, a included, add to the row of k', and a new block to
-    the row of k' + 1.  Nothing is capped at r, so a new block is always
-    admissible and the walk has no dead ends.
+    This is still the brute-force oracle: one counting walk,
+    :func:`_counts`, over the independent (2-scattered) vertex partitions
+    into any number of blocks, in certificate order, with no recurrence,
+    memo or closed form.  Every partition is counted one by one, once.
     """
     n = X.n_facets
     _check_exact_range(n)
-    spec = vertex_spec(X, X.n_vertices, 2)
-    counts = [0] * (X.n_vertices + 1)  # by vertex part number
-    order = certificate_order(X, "vertices")
-    a, b = order[-2:]
-    a_near_b = a in spec.near[b]
-    near_b = [v for v in spec.near[b] if v != a]  # placed by the walk
-    for slot, masks, k, closer, _ in _prefixes(spec, order[:-1], 1):
-        held = {slot[v] for v in near_b}
-        free = k - len(held)  # open blocks b may join unless a is in them
-        for beta in range(k):
-            if not closer & masks[beta]:
-                counts[k] += free - (a_near_b and beta not in held)
-                counts[k + 1] += 1
-        counts[k + 1] += free + 1 - a_near_b  # a opens block k
-        counts[k + 2] += 1
+    counts = _counts(vertex_spec(X, X.n_vertices, 2), certificate_order(X, "vertices"))
     stirling = _stirling_row(n)
     rows = tuple(CensusRow(parts=r, vertex_parts=r + X.dim, count=counts[r + X.dim],
                            expected=stirling[r])

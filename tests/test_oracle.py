@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from operator import le
 
@@ -540,9 +541,10 @@ class WalkCapReached(Exception):
     pass
 
 
-# the enumeration walk's lines: its core and the consumer that expands the
-# last position, not the setup of its close masks
-WALK = {oracle._prefixes.__code__, oracle._growth_strings.__code__}
+# the enumeration walk's lines: its core, the consumer that expands the
+# last position into chunks and the loop that flattens them, not the
+# setup of its close masks
+WALK = {oracle._prefixes.__code__, oracle._chunks.__code__, oracle._growth_strings.__code__}
 
 
 def lines_run(call, codes, cap=float("inf")):
@@ -576,8 +578,8 @@ def walk_in_lines(spec, order, cap):
 
 def walk(spec, order):
     """The walk's strings in ``order``, and the positions it records."""
-    firsts = []
-    return list(oracle._growth_strings(spec, order, firsts)), firsts
+    chunks = list(oracle._chunks(spec, order))
+    return [a for c, _ in chunks for a in c], [p for _, f in chunks for p in f]
 
 
 def verify_families(X, r, s):
@@ -828,9 +830,11 @@ def dependent_vertex_spec(X, parts, scatter):
     return vertex_spec(X, parts, 1)
 
 
-# census's own lines, its comprehensions included, and its walk's
-CENSUS = WALK | {oracle.census.__code__} | {
-    c for c in oracle.census.__code__.co_consts if hasattr(c, "co_code")}
+# census's own lines and those of the counting walk it calls, their
+# comprehensions included, and the walk core's
+CENSUS = {oracle._prefixes.__code__} | {
+    c for f in (oracle.census, oracle._counts)
+    for c in (f.__code__, *f.__code__.co_consts) if hasattr(c, "co_code")}
 
 
 class TestCensusWalk:
@@ -862,7 +866,7 @@ class TestCensusWalk:
 
     def test_walks_at_most_a_fifth_of_the_lines_of_per_r_walks(self):
         # one walk over all but the last two vertices, not a walk per r that
-        # yields every partition: 11,481 and 11,278 lines against 111,692
+        # yields every partition: 11,483 and 11,280 lines against 117,634
         # on the two labellings
         X = random_stacked(2, 8, 1001)
         for Y in (X, relabelled(X, 1)):
@@ -870,3 +874,197 @@ class TestCensusWalk:
             counts, reference = lines_run(lambda: per_r_census(Y), WALK)
             assert [row.count for row in report.rows] == counts
             assert lines <= reference / 5
+
+
+# verify_bijection streams: it walks the facet family in chunks of at most
+# oracle.CHUNK strings, counts the vertex family and tests images against
+# its definition, so nothing per string outlives a chunk.
+
+def streaming_corpus():
+    """Every tree with at most 6 vertices, every octagon triangulation and
+    40 small stackings, each as generated and relabelled."""
+    complexes = [T for v in range(2, 7) for T in all_trees(v)]
+    complexes += list(polygon_triangulations(8))
+    complexes += [random_stacked(1 + i % 3, 1 + i % 8, i) for i in range(40)]
+    return complexes + [relabelled(X, i) for i, X in enumerate(complexes)]
+
+
+def verify_specs(X, s):
+    """The facet family's spec at scatter s and the vertex family's at
+    s + 1, each with every part count, and the order each is walked in."""
+    return ((facet_spec, s, certificate_order(X, "facets")),
+            (vertex_spec, s + 1, certificate_order(X, "vertices")))
+
+
+def definition_misses(X, spec, strings, family):
+    """The indices oracle._misses must give: the strings not in the family,
+    tested with the exact bounds and with zero bounds, which must agree."""
+    order = certificate_order(X, spec.kind)
+    exact = oracle._misses(X, spec, strings, first_changes(strings, order))
+    assert exact == oracle._misses(X, spec, strings, [0] * len(strings))
+    assert exact == [t for t, a in enumerate(strings) if a not in family]
+    return exact
+
+
+def skipping(a, order):
+    """a with its last position put one block past the next new one."""
+    b = list(a)
+    b[order[-1]] = max((a[e] for e in order[:-1]), default=-1) + 2
+    return tuple(b)
+
+
+def crowded(a, order, distance, scatter):
+    """a with the first element that has an earlier close element moved
+    into that element's block, or None when no element has one."""
+    for i, e in enumerate(order):
+        for f in order[:i]:
+            if distance[f][e] < scatter:
+                b = list(a)
+                b[e] = a[f]
+                return tuple(b)
+    return None
+
+
+# no fault and each fault on verify_bijection's f2v or vertex family, as
+# conftest.inject installs them
+FAULTS = {"clean": None,
+          "merging f2v": ("facet_to_vertex", merging_facet_to_vertex),
+          "unconditional-merging f2v": ("facet_to_vertex",
+                                        unconditional_merging_facet_to_vertex),
+          "constant f2v": ("facet_to_vertex", constant_facet_to_vertex),
+          "looser vertex spec": ("vertex_spec", looser_vertex_spec)}
+
+
+class TestStreamingVerify:
+    def test_counts_match_the_walk_for_every_part_count(self):
+        for X in streaming_corpus():
+            for s in (1, 2, 3):
+                for make, scatter, order in verify_specs(X, s):
+                    size = len(order)
+                    counts = oracle._counts(make(X, size, scatter), order)
+                    assert len(counts) == size + 1
+                    for parts in range(1, size + 2):
+                        spec = make(X, parts, scatter)
+                        walked = sum(1 for _ in oracle._growth_strings(spec, order))
+                        assert oracle._counts(spec, order)[parts] == walked
+                        if parts <= size:
+                            assert counts[parts] == walked
+
+    def test_counts_of_the_smallest_grounds(self):
+        assert oracle._counts(prefix_spec(0, 2, 1), []) == [1, 0, 0]
+        assert oracle._counts(prefix_spec(1, 2, 1), [0]) == [0, 1, 0]
+        assert oracle._counts(prefix_spec(2, 3, 2), [0, 1]) == [0, 0, 1, 0]
+        assert oracle._counts(prefix_spec(2, 3, 1), [1, 0]) == [0, 1, 1, 0]
+
+    def test_definition_test_agrees_with_family_membership(self):
+        for X in streaming_corpus()[::29]:
+            faults = (merging_facet_to_vertex, unconditional_merging_facet_to_vertex,
+                      constant_facet_to_vertex)
+            for s in (1, 2, 3):
+                for make, scatter, order in verify_specs(X, s):
+                    distance = (facet_distance_matrix if make is facet_spec
+                                else vertex_distance_matrix)(X)
+                    families = {parts: walk(make(X, parts, scatter), order)[0]
+                                for parts in range(1, 6)}
+                    for parts in range(2, 5):
+                        spec = make(X, parts, scatter)
+                        family = set(families[parts])
+                        assert definition_misses(X, spec, families[parts], family) == []
+                        # too few and too many blocks
+                        for other in (parts - 1, parts + 1):
+                            strings = families[other]
+                            assert (definition_misses(X, spec, strings, family)
+                                    == list(range(len(strings))))
+                        built = [skipping(a, order) for a in families[parts]]
+                        built += filter(None, (crowded(a, order, distance, scatter)
+                                               for a in families[parts]))
+                        definition_misses(X, spec, built, family)
+                        if make is facet_spec:
+                            continue
+                        facets = (walk(facet_spec(X, parts - X.dim, s),
+                                       certificate_order(X, "facets"))[0]
+                                  if parts > X.dim else [])
+                        images = [growth_string(X, fault(X, string_partition("facets", a)))
+                                  for fault in faults for a in facets]
+                        definition_misses(X, spec, images, family)
+
+    def test_results_that_are_not_strings_are_outside(self, heptagon):
+        spec = vertex_spec(heptagon, 3, 2)
+        order = certificate_order(heptagon, "vertices")
+        (a, *_), _ = walk(spec, order)
+        strings = [None, (), a[:-1], a + (0,), list(a), a, "x" * len(a)]
+        assert oracle._misses(heptagon, spec, strings, [0] * len(strings)) == [0, 1, 2, 3, 4, 6]
+        assert oracle._misses(heptagon, spec, strings, [len(a)] * len(strings)) == [
+            0, 1, 2, 3, 4, 6]
+
+    def test_a_v2f_that_refuses_everything_fails_every_string(self, heptagon,
+                                                             monkeypatch):
+        # conftest.inject turns the refusal into None, which is outside the
+        # facet family and does not round-trip; nothing raises
+        def refusing(X, P):
+            raise errors.NotIndependentError("refused")
+
+        inject(monkeypatch, "vertex_to_facet", refusing)
+        report = oracle.verify_bijection(heptagon, 2, 1)
+        assert (report.left_count, report.right_count) == (15, 15)
+        assert report.round_trip_failures == 15 and report.image_mismatches == 15
+
+    def test_chunk_boundaries_change_no_report(self):
+        # each setting runs under a counting v2f, whose calls must not change
+        complexes = [random_stacked(1 + i % 3, 2 + i % 5, i) for i in range(8)]
+        complexes += [relabelled(X, i) for i, X in enumerate(complexes)]
+        for setting, fault in FAULTS.items():
+            runs = {}
+            for size in (oracle.CHUNK, 1, 2, 7):
+                calls = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(oracle, "CHUNK", size)
+                    if fault:
+                        inject(patch, *fault)
+                    inject(patch, "vertex_to_facet", counting_vertex_to_facet(calls))
+                    runs[size] = [oracle.verify_bijection(X, r, s) for X in complexes
+                                  for r, s in ((1, 1), (2, 1), (2, 2), (3, 1))], calls
+                assert runs[size] == runs[oracle.CHUNK], (setting, size)
+            reports, _ = runs[oracle.CHUNK]
+            assert all(report.ok for report in reports) == (fault is None), setting
+
+    def test_chunks_hold_at_most_chunk_strings(self, monkeypatch):
+        X = relabelled(random_stacked(2, 7, 3), 1)
+        for spec in (facet_spec(X, 3, 1), vertex_spec(X, 4, 2)):
+            order = certificate_order(X, spec.kind)
+            strings, firsts = walk(spec, order)
+            monkeypatch.setattr(oracle, "CHUNK", 7)
+            chunks = list(oracle._chunks(spec, order))
+            monkeypatch.undo()
+            assert len(strings) > 7 * 3
+            assert all(1 <= len(c) == len(f) <= 7 for c, f in chunks)
+            assert [a for c, _ in chunks for a in c] == strings
+            assert [p for _, f in chunks for p in f] == firsts
+
+    def test_enumeration_streams_chunk_by_chunk(self, monkeypatch):
+        # 2^24 - 1 partitions of a 25-edge path into two blocks: the first
+        # comes after one chunk of the walk, not the whole family
+        monkeypatch.setattr(oracle, "CHUNK", 4)
+        spec = facet_spec(sc.line_graph(25), 2, 1)
+        first, lines = lines_run(lambda: next(enumerate_partitions(spec)), WALK, 2000)
+        assert first.n_blocks == 2 and lines < 2000
+
+    def test_memory_is_one_chunk_not_the_family(self, monkeypatch):
+        # 8,191 facet partitions of a 14-edge tree: with 64-string chunks the
+        # pass allocates a fraction of what holding the whole family takes
+        X = random_stacked(1, 14, 7)
+        assert sc.verify_bijection(X, 2, 1).ok  # builds the complex's tables
+
+        def peak(chunk):
+            monkeypatch.setattr(oracle, "CHUNK", chunk)
+            tracemalloc.start()
+            try:
+                report = sc.verify_bijection(X, 2, 1)
+                return report, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_peak = peak(1 << 14)
+        chunked, chunked_peak = peak(64)
+        assert whole == chunked and whole.left_count == 8191
+        assert chunked_peak < whole_peak / 10
