@@ -258,40 +258,45 @@ def _counts(spec: EnumerationSpec, order: Sequence[int]) -> list[int]:
         return counts[:r + 1]
     a, b = order[-2:]
     a_near_b = a in spec.near[b]
-    near_b = [v for v in spec.near[b] if v != a]  # placed by the walk
-    for slot, masks, k, closer, _ in _prefixes(spec, order[:-1], 1):
-        held = {slot[v] for v in near_b}
-        free = k - len(held)  # open blocks b may join unless a is in them
-        for beta in range(k):
-            if not closer & masks[beta]:
-                counts[k] += free - (a_near_b and beta not in held)
-                counts[k + 1] += 1
-        counts[k + 1] += free + 1 - a_near_b  # a opens block k
+    # the steps of b's close positions that the walk places
+    near_b = sum(1 << order.index(v) for v in spec.near[b] if v != a)
+    for _, masks, k, closer, _ in _prefixes(spec, order[:-1], 1):
+        free = k  # open blocks b may join unless a is in them
+        joins = lone = 0  # blocks a may join, and those of them free for b
+        for mask in masks[:k]:
+            held = mask & near_b
+            if held:
+                free -= 1
+            if not closer & mask:
+                joins += 1
+                if not held:
+                    lone += 1
+        counts[k] += joins * free - (lone if a_near_b else 0)
+        counts[k + 1] += joins + free + 1 - a_near_b  # a opens block k
         counts[k + 2] += 1
     return counts[:r + 1]
 
 
 @derived
 def _close_getters(X: SimplicialComplex, kind: GroundKind,
-                   scatter: int) -> tuple[list[int], list[itemgetter | None]]:
-    """The certificate order of ``kind`` and, per step, a getter of the
-    blocks of its element and of the elements closer to it than
-    ``scatter``, or None when there are none: the tables of
-    :func:`_misses`, built once per complex, kind and scatter from
-    :func:`paths.near`, as the specs' ``near`` is."""
-    order = certificate_order(X, kind)
-    near = paths.near(X, kind, scatter)
-    return order, [itemgetter(e, *near[e]) if near[e] else None for e in order]
+                   scatter: int) -> list[itemgetter | None]:
+    """Per facet or vertex, a getter of the blocks of it and of the
+    elements closer to it than ``scatter``, or None when there are none:
+    the table of :func:`_misses`, built once per complex, kind and scatter
+    from :func:`paths.near`, as the specs' ``near`` is."""
+    return [itemgetter(e, *near) if near else None
+            for e, near in enumerate(paths.near(X, kind, scatter))]
 
 
-def _misses(X: SimplicialComplex, spec: EnumerationSpec, strings: Sequence,
-            firsts: Sequence[int]) -> list[int]:
+def _misses(X: SimplicialComplex, spec: EnumerationSpec, order: Sequence[int],
+            strings: Sequence, firsts: Sequence[int]) -> list[int]:
     """The indices of the strings outside the family of ``spec``, a facet
     or vertex spec of X, tested by its definition: a string is in it when
     it is a tuple of the ground's length, a restricted-growth string along
-    :func:`partitions.certificate_order`, with exactly ``parts`` blocks,
-    and no element shares a block with an earlier one closer than
-    ``scatter``.  Anything else is outside; nothing raises.
+    ``order``, X's :func:`partitions.certificate_order` of the kind, with
+    exactly ``parts`` blocks, and no element shares a block with an
+    earlier one closer than ``scatter``.  Anything else is outside;
+    nothing raises.
 
     ``firsts`` holds lower bounds on where each string first differs from
     the one before along the order, as the string maps return them.  A
@@ -303,7 +308,7 @@ def _misses(X: SimplicialComplex, spec: EnumerationSpec, strings: Sequence,
     block has no earlier member, and any later one is tested at its own
     step, so only an element that joins an open block is tested.
     """
-    order, close = _close_getters(X, spec.kind, spec.scatter)
+    close = _close_getters(X, spec.kind, spec.scatter)
     n, r = len(order), spec.parts
     opened = [0] * (n + 1)  # per step: blocks opened before it in the last string
     passed = 0  # the steps the last string passed
@@ -316,10 +321,11 @@ def _misses(X: SimplicialComplex, spec: EnumerationSpec, strings: Sequence,
         i = first if first < passed else passed
         m = opened[i]
         while i < n:
-            x = a[order[i]]
+            e = order[i]
+            x = a[e]
             if x == m:
                 m += 1
-            elif not 0 <= x < m or close[i] and close[i](a).count(x) > 1:
+            elif not 0 <= x < m or close[e] and close[e](a).count(x) > 1:
                 break
             i += 1
             opened[i] = m
@@ -459,7 +465,7 @@ def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
         left_count += len(left)
         images, image_firsts = facet_to_vertex_strings(X, left, left_firsts)
         backs, _ = vertex_to_facet_strings(X, images, image_firsts)
-        outside = _misses(X, vertices, images, image_firsts)
+        outside = _misses(X, vertices, vertex_order, images, image_firsts)
         if backs != left or outside:
             outside = set(outside)
             for t, (a, image, back) in enumerate(zip(left, images, backs)):
@@ -475,7 +481,7 @@ def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
     if mismatches or round_trips or right_count != left_count:
         for right, right_firsts in _chunks(vertices, vertex_order):
             preimages, preimage_firsts = vertex_to_facet_strings(X, right, right_firsts)
-            misses = _misses(X, facets, preimages, preimage_firsts)
+            misses = _misses(X, facets, facet_order, preimages, preimage_firsts)
             for t in misses:
                 mismatches += 1
                 note("vertex partition whose image is not in the facet family",

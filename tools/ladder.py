@@ -7,14 +7,14 @@ n = 14, 16, ..., 24, up to ``--max-n``.  Each run is one child process
 that runs the command line in-process, as the ``stackedcx`` script does,
 and reports its own wall time and its own peak RSS (``RUSAGE_SELF``);
 ``RUSAGE_CHILDREN`` is not used, since it is the largest peak of every
-child waited for so far.  A point keeps the median wall time and the
-largest peak of its runs.  The rung records the exponent of a
-least-squares fit of log wall time on log family size: 1 means time
-grows linearly with the family.
+child waited for so far.  Each point is run ``RUNS`` times and keeps
+the median wall time and the largest peak of its runs.  The rung
+records the exponent of a least-squares fit of log wall time on log
+family size: 1 means time grows linearly with the family.
 
-Usage: python3 tools/ladder.py [--max-n N] [--runs K] [--out PATH]
-(defaults: 20, 3, standard output).  Imports stackedcx from ``src/``
-beside this script; stdlib only.
+Usage: python3 tools/ladder.py [--max-n N] [--out PATH] (defaults: 20,
+standard output).  Imports stackedcx from ``src/`` beside this script;
+stdlib only.
 """
 
 import argparse
@@ -35,6 +35,7 @@ sys.path.insert(0, str(SRC))
 from stackedcx import cli  # noqa: E402
 
 SIZES = (14, 16, 18, 20, 22, 24)
+RUNS = 3
 GEN = "gen stacked --dim 1 --count {n} --seed 7"
 VERIFY = "verify {path} -r 2 -s 1"
 
@@ -84,13 +85,13 @@ def slope(xs: list[float], ys: list[float]) -> float | None:
             / sum((x - mx) ** 2 for x in xs))
 
 
-def verify_rung(max_n: int, runs: int) -> dict:
+def verify_rung(max_n: int) -> dict:
     points = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in (n for n in SIZES if n <= max_n):
             path = Path(tmp) / f"tree{n}.cx"
             generate(n, path)
-            results = [run_child(VERIFY.format(path=path).split()) for _ in range(runs)]
+            results = [run_child(VERIFY.format(path=path).split()) for _ in range(RUNS)]
             outputs = {r["stdout"] for r in results}
             if len(outputs) != 1 or any(r["exit"] != 0 for r in results):
                 raise SystemExit(f"verify failed or varied at n={n}: {results}")
@@ -113,14 +114,11 @@ def verify_rung(max_n: int, runs: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-n", type=int, default=20, help="largest size to run")
-    parser.add_argument("--runs", type=int, default=3, help="runs per point")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     figures = {"python": platform.python_version(), "machine": platform.machine(),
                "cpus": len(os.sched_getaffinity(0)),
-               "rungs": {"verify": verify_rung(args.max_n, args.runs)}}
+               "rungs": {"verify": verify_rung(args.max_n)}}
     text = json.dumps(figures, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
