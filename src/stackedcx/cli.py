@@ -95,18 +95,18 @@ def cmd_path(args) -> int:
         f = X.facet_from_tokens(args.facets[0].split(","))
         g = X.facet_from_tokens(args.facets[1].split(","))
         path = facet_path(X, f, g)
-        print("path: " + " ".join(facet_token(X, i) for i in path.facets))
+        print("path: " + " ".join(facet_token(X, i) for i in path))
         print(f"distance: {len(path) - 1}")
     else:
         v, w = (X.id_of(t) for t in args.vertices)
         try:
-            fp = face_path(X, (v,), (w,))
+            path = face_path(X, (v,), (w,))
         except NotSeparatedError:  # equal, or facet mates with no single witness facet
             print(f"distance: {int(v != w)}")
             return 0
-        middle = " ".join(facet_token(X, i) for i in fp.facets)
+        middle = " ".join(facet_token(X, i) for i in path)
         print(f"path: {X.token_of(v)} | {middle} | {X.token_of(w)}")
-        print(f"distance: {len(fp)}")
+        print(f"distance: {len(path)}")
     return 0
 
 

@@ -146,7 +146,7 @@ def _prefixes(spec: EnumerationSpec, order: Sequence[int],
         for i, e in enumerate(order):
             close[i] = sum(map(bit.__getitem__, spec.near[e]))
             bit[e] = 1 << i
-    masks = [0] * r  # member steps per block
+    masks = [0] * min(r, n)  # member steps per block: n steps open at most n
     k = 0  # open blocks
     slot = [-1] * len(spec.ground)  # the block of each position, -1 while unplaced
     last = n - 1
@@ -249,10 +249,12 @@ def _counts(spec: EnumerationSpec, order: Sequence[int]) -> list[int]:
     blocks; then the k' blocks that hold none of b's close positions, a
     included, add to the count of k', and a new block to that of k' + 1.
     Counts past ``parts`` are made and dropped, so a new block is always
-    admissible and the walk has no dead ends.
+    admissible and the walk has no dead ends.  The list ends at part
+    number ``len(order) + 2`` when ``parts`` is larger, as no string has
+    more blocks than positions.
     """
     r = spec.parts
-    counts = [0] * (r + 3)
+    counts = [0] * (min(r, len(order)) + 3)
     if len(order) < 2:  # no walk: the one string of 0 or 1 positions
         counts[len(order)] = 1
         return counts[:r + 1]
@@ -477,7 +479,8 @@ def _verify(X: SimplicialComplex, r: int, s: int) -> BijectionReport:
                 if back != a or missed and not _independent(X, image):
                     round_trips += 1
                     note("facet partition that does not round-trip", "facets", a)
-    right_count = _counts(vertices, vertex_order)[vertices.parts]
+    counts = _counts(vertices, vertex_order)
+    right_count = counts[vertices.parts] if vertices.parts < len(counts) else 0
     if mismatches or round_trips or right_count != left_count:
         for right, right_firsts in _chunks(vertices, vertex_order):
             preimages, preimage_firsts = vertex_to_facet_strings(X, right, right_firsts)

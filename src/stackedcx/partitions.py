@@ -390,9 +390,9 @@ def vertex_to_facet_generators(X: SimplicialComplex,
         b = block_of[v]
         if block_of[w] != b:
             continue
-        if any(block_of[u] == b for f in path.facets[1:-1] for u in facets[f]):
+        if any(block_of[u] == b for f in path[1:-1] for u in facets[f]):
             continue
-        out.append(GeneratorPair(a=i, b=j, witness=path.facets))
+        out.append(GeneratorPair(a=i, b=j, witness=path))
     return out
 
 
@@ -404,11 +404,11 @@ def facet_to_vertex_generators(X: SimplicialComplex,
     for v, w in combinations(range(X.n_vertices), 2):
         if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
             continue
-        fp = face_path(X, (v,), (w,))
-        b = block_of[fp.facets[0]]
-        if block_of[fp.facets[-1]] != b:
+        path = face_path(X, (v,), (w,))
+        b = block_of[path[0]]
+        if block_of[path[-1]] != b:
             continue
-        if any(block_of[f] == b for f in fp.facets[1:-1]):
+        if any(block_of[f] == b for f in path[1:-1]):
             continue
-        out.append(GeneratorPair(a=v, b=w, witness=fp.facets))
+        out.append(GeneratorPair(a=v, b=w, witness=path))
     return out

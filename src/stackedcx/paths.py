@@ -11,10 +11,11 @@ InputError on complexes that are not stacked.  Walk reduction itself
 works on any pure complex, and it and :func:`wall_distance` stay as the
 definitions the tree queries are tested against.
 
-Facets are read as ``facet_tuples``, sorted vertex-id tuples; faces and
-intersections handed back are frozensets.  The facets containing a face
-come from one lookup, :func:`_facets_containing`: a wall's from the ridge
-index, any other face's from the facets of its vertex on fewest facets.
+Facets are read as ``facet_tuples``, sorted vertex-id tuples; a path is
+the tuple of its facet indices, and a neighborhood's vertex set is a
+frozenset.  The facets containing a face come from one lookup,
+:func:`_facets_containing`: a wall's from the ridge index, any other
+face's from the facets of its vertex on fewest facets.
 
 The elements closer than a scatter bound to an element, its *close*
 list, are one bounded sweep of the tree as a graph built from the same
@@ -33,34 +34,6 @@ from .errors import (
     NotSeparatedError,
     PathTooShortError,
 )
-
-
-@dataclass(frozen=True)
-class FacetPath:
-    """A walk with pairwise distinct consecutive intersections."""
-
-    facets: tuple[int, ...]
-    intersections: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.facets)
-
-
-@dataclass(frozen=True)
-class FacePath:
-    """A facet path whose first facet contains h and last contains k, with
-    neither face swallowed by the adjacent intersection."""
-
-    h: frozenset[int]
-    k: frozenset[int]
-    path: FacetPath
-
-    @property
-    def facets(self) -> tuple[int, ...]:
-        return self.path.facets
-
-    def __len__(self) -> int:
-        return len(self.path.facets)
 
 
 def _check_ids(noun: str, size: int, ids: Collection[int]) -> None:
@@ -82,7 +55,7 @@ def _check_walk(X: SimplicialComplex, walk: Sequence[int]) -> list[frozenset[int
     return inters
 
 
-def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
+def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> tuple[int, ...]:
     """Shorten a walk to a path with the same first and last facet.
 
     Collisions between consecutive-intersection values are resolved left to
@@ -108,10 +81,10 @@ def reduce_walk(X: SimplicialComplex, walk: Sequence[int]) -> FacetPath:
             facets = facets[:i] + facets[j + 1:]
     if len(set(facets)) != len(facets):
         raise InputError("repeated facet in path (is the complex stacked?)")
-    return FacetPath(facets=tuple(facets), intersections=tuple(inters))
+    return tuple(facets)
 
 
-def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
+def facet_path(X: SimplicialComplex, f: int, g: int) -> tuple[int, ...]:
     """The unique path between two facets of a stacked complex: their path
     in the stacking tree, climbed from both ends to the lowest common
     ancestor facet p, which it skips when the last facets below p on the
@@ -127,18 +100,16 @@ def facet_path(X: SimplicialComplex, f: int, g: int) -> FacetPath:
             fall.append(up[fall[-1]])
     if len(rise) > 1 and len(fall) > 1 and port[rise[-2]] == port[fall[-2]]:
         rise.pop()  # children across one ridge meet in it, not at their parent
-    facets, t = tuple(rise + fall[-2::-1]), X.facet_tuples
-    return FacetPath(facets=facets, intersections=tuple(
-        frozenset(t[a]).intersection(t[b]) for a, b in zip(facets, facets[1:])))
+    return tuple(rise + fall[-2::-1])
 
 
-def end_vertices(X: SimplicialComplex, path: FacetPath) -> tuple[int, int]:
+def end_vertices(X: SimplicialComplex, path: Sequence[int]) -> tuple[int, int]:
     """The single vertices f_1 \\ f_2 and f_p \\ f_{p-1} of a path, p >= 2."""
     if len(path) < 2:
         raise PathTooShortError("end vertices need a path of length >= 2")
-    t, facets = X.facet_tuples, path.facets
-    (left,) = frozenset(t[facets[0]]).difference(t[facets[1]])
-    (right,) = frozenset(t[facets[-1]]).difference(t[facets[-2]])
+    t = X.facet_tuples
+    (left,) = frozenset(t[path[0]]).difference(t[path[1]])
+    (right,) = frozenset(t[path[-1]]).difference(t[path[-2]])
     return left, right
 
 
@@ -160,8 +131,10 @@ def _listed(face: frozenset) -> list:
     return sorted(face, key=lambda v: (type(v).__name__, v))
 
 
-def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FacePath:
-    """The unique path between faces h and k.
+def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> tuple[int, ...]:
+    """The unique path between faces h and k: a facet path whose first
+    facet contains h and last contains k, with neither face swallowed by
+    the adjacent intersection.
 
     Defined when the pair is separated: h != k and no two facets both
     contain h and k (otherwise there is no single witness path and
@@ -190,15 +163,12 @@ def face_path(X: SimplicialComplex, h: Iterable[int], k: Iterable[int]) -> FaceP
         raise NotSeparatedError(
             "face union lies in two facets: no unique path")
     if len(both) == 1:
-        return FacePath(h=h, k=k, path=FacetPath(facets=(both[0],), intersections=()))
+        return (both[0],)
 
     full = facet_path(X, containing_h[0], containing_k[0])
-    i = max(idx for idx, fi in enumerate(full.facets) if h.issubset(t[fi]))
-    j = min(idx for idx in range(i, len(full.facets))
-            if k.issubset(t[full.facets[idx]]))
-    trimmed = FacetPath(facets=full.facets[i:j + 1],
-                        intersections=full.intersections[i:j])
-    return FacePath(h=h, k=k, path=trimmed)
+    i = max(idx for idx, fi in enumerate(full) if h.issubset(t[fi]))
+    j = min(idx for idx in range(i, len(full)) if k.issubset(t[full[idx]]))
+    return full[i:j + 1]
 
 
 def vertex_distance(X: SimplicialComplex, v: int, w: int) -> int:

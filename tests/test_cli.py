@@ -299,6 +299,14 @@ class TestVerify:
         assert any(": facet partition that does not round-trip: " in line
                    for line in lines)
 
+    @pytest.mark.parametrize("r", [10**20, sys.maxsize])
+    def test_more_parts_than_the_complex_holds_exits_zero(self, capsys, tmp_path, r):
+        path = tmp_path / "edge.cx"
+        path.write_text("1 2\n")
+        code, out, err = run(capsys, "verify", str(path), "-r", str(r), "-s", "1")
+        assert (code, err) == (0, "")
+        assert out == "leftCount=0\nrightCount=0\nroundTripFailures=0\nimageMismatches=0\n"
+
     def test_more_facets_than_exact_range_exits_one(self, capsys, tmp_path):
         path = tmp_path / "big.cx"
         path.write_text(emit_complex(random_stacked(2, 26, 0)))

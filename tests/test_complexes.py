@@ -23,6 +23,14 @@ class TestBuild:
     def test_heptagon_counts(self, heptagon):
         assert (heptagon.dim, heptagon.n_facets, heptagon.n_vertices) == (2, 5, 7)
 
+    def test_equality_with_another_type_is_false(self):
+        X = cx("1 2")
+        assert X.__eq__("x") is NotImplemented
+        assert (X == "x") is False and X != "x"
+
+    def test_repr(self):
+        assert repr(cx("1 2")) == "SimplicialComplex(dim=1, facets=1, vertices=2)"
+
     def test_mixed_sizes_rejected(self):
         with pytest.raises(errors.NotPureError):
             cx("1 2", "1 2 3")

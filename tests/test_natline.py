@@ -77,6 +77,10 @@ class TestRefineOnce:
             tuple(sorted(list(range(1, 10, 2)) + list(range(12, 21, 2)))),
         }
 
+    def test_empty_partition_is_rejected(self):
+        with pytest.raises(errors.InputError, match="^line graph needs at least one edge$"):
+            sc.refine_once(sc.Partition("integers", ()))
+
     def test_one_block_gives_parity_classes(self):
         for n in (1, 4, 9):
             got = sc.refine_once(prefix(n, range(1, n + 1)))

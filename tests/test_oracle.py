@@ -210,6 +210,14 @@ class TestVerifyBijection:
         report = sc.verify_bijection(X, 1, 1)
         assert report.ok and report.left_count == report.right_count == 1
 
+    @pytest.mark.parametrize("r", [10**20, sys.maxsize])
+    def test_more_parts_than_the_complex_holds(self, r):
+        # both families are empty, and no list is sized by r
+        for X in (cx("1 2"), random_stacked(2, 8, 7)):
+            report = sc.verify_bijection(X, r, 1)
+            assert report.ok and report.left_count == report.right_count == 0
+            assert report.counterexamples == ()
+
     def test_heptagon_counts(self, heptagon):
         report = sc.verify_bijection(heptagon, 2, 1)
         assert report.ok

@@ -354,7 +354,7 @@ class TestStringMaps:
         assert 400 < dependent < 800
 
 
-def test_check_theorem_instance_examples(heptagon):
+def test_verify_bijection_on_small_examples(heptagon):
     report = sc.verify_bijection(heptagon, 2, 2)
     assert report.ok and report.left_count == 1
 

@@ -37,12 +37,12 @@ class TestReduceWalk:
     def test_star_first_rule(self, star_tree):
         a, b, e = (facet(star_tree, f"c,{i}") for i in "123")
         path = sc.reduce_walk(star_tree, [a, b, e])
-        assert path.facets == (a, e)
+        assert path == (a, e)
 
     def test_star_second_rule(self, star_tree):
         a, b, _ = (facet(star_tree, f"c,{i}") for i in "123")
         path = sc.reduce_walk(star_tree, [a, b, a])
-        assert path.facets == (a,)
+        assert path == (a,)
 
     def test_heptagon_walk(self, heptagon):
         walk = [facet(heptagon, t) for t in
@@ -50,7 +50,7 @@ class TestReduceWalk:
         path = sc.reduce_walk(heptagon, walk)
         expected = tuple(facet(heptagon, t) for t in
                          ("2,3,4", "2,4,5", "2,5,7", "5,6,7"))
-        assert path.facets == expected
+        assert path == expected
 
     def test_rejects_non_walk(self, heptagon):
         with pytest.raises(errors.InputError):
@@ -72,13 +72,13 @@ class TestReduceWalk:
 class TestFacetPath:
     def test_same_facet(self, heptagon):
         f = facet(heptagon, "2,4,5")
-        assert sc.facet_path(heptagon, f, f).facets == (f,)
+        assert sc.facet_path(heptagon, f, f) == (f,)
 
     def test_heptagon(self, heptagon):
         path = sc.facet_path(heptagon, facet(heptagon, "2,3,4"),
                              facet(heptagon, "5,6,7"))
-        assert path.facets == tuple(facet(heptagon, t) for t in
-                                    ("2,3,4", "2,4,5", "2,5,7", "5,6,7"))
+        assert path == tuple(facet(heptagon, t) for t in
+                             ("2,3,4", "2,4,5", "2,5,7", "5,6,7"))
 
     def test_line_tree(self):
         X = sc.line_graph(4)
@@ -90,7 +90,7 @@ class TestFacetPath:
         for f, g in combinations(range(heptagon.n_facets), 2):
             candidates = paper_paths(heptagon, f, g)
             assert len(candidates) == 1
-            assert candidates[0] == sc.facet_path(heptagon, f, g).facets
+            assert candidates[0] == sc.facet_path(heptagon, f, g)
 
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
@@ -101,7 +101,7 @@ class TestFacetPath:
         g = rng.randrange(X.n_facets)
         candidates = paper_paths(X, f, g)
         assert len(candidates) == 1
-        assert candidates[0] == sc.facet_path(X, f, g).facets
+        assert candidates[0] == sc.facet_path(X, f, g)
 
     @given(st.integers(0, 300))
     @settings(max_examples=30, deadline=None)
@@ -119,12 +119,12 @@ class TestFacetPath:
                     break
                 walk.append(rng.choice(adj[walk[-1]]))
             if walk[-1] != g:
-                walk.extend(sc.facet_path(X, walk[-1], g).facets[1:])
+                walk.extend(sc.facet_path(X, walk[-1], g)[1:])
             return walk
 
-        expected = sc.facet_path(X, f, g).facets
+        expected = sc.facet_path(X, f, g)
         for _ in range(3):
-            assert sc.reduce_walk(X, random_walk()).facets == expected
+            assert sc.reduce_walk(X, random_walk()) == expected
 
 
 class TestEndVertices:
@@ -149,12 +149,12 @@ class TestEndVertices:
 class TestFacePath:
     def test_facet_mates_with_unique_witness(self, heptagon):
         fp = sc.face_path(heptagon, {heptagon.id_of("2")}, {heptagon.id_of("3")})
-        assert fp.facets == (facet(heptagon, "2,3,4"),)
+        assert fp == (facet(heptagon, "2,3,4"),)
 
     def test_heptagon_3_to_7(self, heptagon):
         fp = sc.face_path(heptagon, {heptagon.id_of("3")}, {heptagon.id_of("7")})
-        assert fp.facets == tuple(facet(heptagon, t) for t in
-                                  ("2,3,4", "2,4,5", "2,5,7"))
+        assert fp == tuple(facet(heptagon, t) for t in
+                           ("2,3,4", "2,4,5", "2,5,7"))
 
     def test_equal_faces_not_separated(self, heptagon):
         v = {heptagon.id_of("4")}
@@ -192,8 +192,8 @@ class TestFacePath:
     def test_face_to_wall(self, heptagon):
         g = frozenset(heptagon.id_of(t) for t in "24")
         fp = sc.face_path(heptagon, heptagon.facet_tuples[facet(heptagon, "5,6,7")], g)
-        assert fp.facets == tuple(facet(heptagon, t) for t in
-                                  ("5,6,7", "2,5,7", "2,4,5"))
+        assert fp == tuple(facet(heptagon, t) for t in
+                           ("5,6,7", "2,5,7", "2,4,5"))
 
     def test_construction_independent_of_witness_facets(self):
         for seed in range(15):
@@ -204,26 +204,26 @@ class TestFacePath:
             if not pairs:
                 continue
             v, w = rng.choice(pairs)
-            expected = sc.face_path(X, (v,), (w,)).facets
+            expected = sc.face_path(X, (v,), (w,))
             sets = facet_sets(X)
             for f in X.vertex_facets[v]:
                 for g in X.vertex_facets[w]:
                     full = sc.facet_path(X, f, g)
-                    i = max(i for i, fi in enumerate(full.facets)
-                            if v in sets[fi])
-                    j = min(j for j in range(i, len(full.facets))
-                            if w in sets[full.facets[j]])
-                    assert full.facets[i:j + 1] == expected
+                    i = max(i for i, fi in enumerate(full) if v in sets[fi])
+                    j = min(j for j in range(i, len(full)) if w in sets[full[j]])
+                    assert full[i:j + 1] == expected
 
     def test_interior_never_swallows_ends(self):
         # every constructed face path keeps h and k out of the interior walls
         for seed in range(20):
             X = random_stacked(1 + seed % 3, 3 + seed % 5, seed)
+            t = X.facet_tuples
             for v, w in combinations(range(X.n_vertices), 2):
                 if set(X.vertex_facets[v]) & set(X.vertex_facets[w]):
                     continue
                 fp = sc.face_path(X, (v,), (w,))
-                for inter in fp.path.intersections:
+                for a, b in zip(fp, fp[1:]):
+                    inter = set(t[a]) & set(t[b])
                     assert v not in inter and w not in inter
 
 
@@ -263,7 +263,7 @@ class TestFacePathSemantics:
                         # rejected pairs are equal or genuinely ambiguous
                         assert h == k or len(witnesses) != 1
                     else:
-                        assert witnesses == {fp.facets}
+                        assert witnesses == {fp}
 
 
 class TestDistances:
@@ -320,10 +320,10 @@ class TestDistances:
         for a in range(heptagon.n_facets):
             for b in range(heptagon.n_facets):
                 for c in range(heptagon.n_facets):
-                    walk = (sc.facet_path(heptagon, a, b).facets
-                            + sc.facet_path(heptagon, b, c).facets[1:])
+                    walk = (sc.facet_path(heptagon, a, b)
+                            + sc.facet_path(heptagon, b, c)[1:])
                     reduced = sc.reduce_walk(heptagon, walk)
-                    assert reduced.facets == sc.facet_path(heptagon, a, c).facets
+                    assert reduced == sc.facet_path(heptagon, a, c)
                     assert len(reduced) - 1 <= (sc.facet_distance(heptagon, a, b)
                                                 + sc.facet_distance(heptagon, b, c))
 
@@ -440,7 +440,7 @@ class TestDistanceNeighborhood:
 
         X.facet_tuples = Counting(X.facet_tuples)
         assert sc.distance_neighborhood(X, g, 1) == expected
-        assert sc.face_path(X, g, [X.id_of("x2")]).facets[0] == abc
+        assert sc.face_path(X, g, [X.id_of("x2")])[0] == abc
         assert Counting.reads < 50
 
     @given(st.integers(1, 3), st.integers(1, 25), st.integers(0, 10**6))

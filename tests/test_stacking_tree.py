@@ -49,7 +49,7 @@ def reference_vertex_path(X, v, w):
     sets = facet_sets(X)
     on_v = [i for i, f in enumerate(sets) if v in f]
     on_w = [i for i, f in enumerate(sets) if w in f]
-    full = reference_facet_path(X, on_v[0], on_w[0]).facets
+    full = reference_facet_path(X, on_v[0], on_w[0])
     i = max(idx for idx, f in enumerate(full) if v in sets[f])
     j = min(idx for idx in range(i, len(full)) if w in sets[full[idx]])
     return full[i:j + 1]
